@@ -786,12 +786,13 @@ def _cmd_bench_perf(args) -> int:
             [name, point["cycles"], f"{point['wall_seconds']:.2f}",
              f"{point['cycles_per_second']:.0f}",
              f"{point['cycles_per_second_median']:.0f}",
-             f"{point['wall_seconds_stdev']:.3f}"]
+             f"{point['wall_seconds_stdev']:.3f}",
+             point["ticks_executed"], point["ticks_elided"]]
             for name, point in payload["points"].items()
         ]
         print(format_table(
             ["point", "cycles", "wall s", "cycles/s",
-             "median c/s", "sd s"], rows,
+             "median c/s", "sd s", "ticks", "elided"], rows,
         ))
         benchperf.write_report(args.out, payload)
         print(f"wrote {args.out}")

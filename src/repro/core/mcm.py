@@ -46,10 +46,6 @@ class ModuleEgressLinks(Component):
             )
             for m in range(modules)
         ]
-        #: Per-link accrual mode captured at sleep time (see
-        #: PartitionLinks: a link sleeping credit-starved keeps
-        #: banking credit, replayed in on_skipped).
-        self._accrue = [False] * modules
 
     @staticmethod
     def _deliver(packet: _Packet) -> bool:
@@ -62,33 +58,9 @@ class ModuleEgressLinks(Component):
         self.wake()
         return self.links[module].push((final_sink, request), size)
 
-    def tick(self, now: int) -> object:
-        links = self.links
-        moved = 0
-        for link in links:
-            moved += link.packets_transferred
-        for link in links:
-            link.tick(now)
-        # A module that moved a packet this cycle is plainly active:
-        # skip the per-link verdict computation (streaming common case).
-        after = 0
-        for link in links:
-            after += link.packets_transferred
-        if after != moved:
-            return False
-        gated = now < self._no_sleep_until
-        verdict: object = True
+    def tick(self, now: int) -> None:
         for link in self.links:
-            if not link.input._items and not link._in_flight:
-                continue
-            if gated:
-                return False  # anti-churn window: timed verdict discarded
-            link_verdict = link.wake_verdict(now)
-            if link_verdict is False:
-                return False
-            if verdict is True or link_verdict < verdict:
-                verdict = link_verdict
-        return verdict
+            link.tick(now)
 
     # -- activity contract ---------------------------------------------
 
@@ -100,21 +72,9 @@ class ModuleEgressLinks(Component):
         return True
 
     def on_sleep(self, now: int) -> None:
-        """Capture per-link accrual mode, then clamp idle credit (see
-        PartitionLinks.on_sleep for the split)."""
-        accrue = self._accrue
-        for index, link in enumerate(self.links):
-            busy = bool(link.input._items)
-            accrue[index] = busy
-            if not busy:
-                link.quiesce()
-
-    def on_skipped(self, cycles: int) -> None:
-        """Replay busy accrual for links that slept with packets
-        queued."""
-        for busy, link in zip(self._accrue, self.links):
-            if busy:
-                link.accrue_skipped(cycles)
+        """Clamp each link's banked credit as its idle ticks would."""
+        for link in self.links:
+            link.quiesce()
 
     @property
     def pending(self) -> int:

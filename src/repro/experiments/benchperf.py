@@ -81,9 +81,13 @@ def measure_point(key: RunKey, repeats: int = 3,
     floor; the median (``*_median``) is what regression gating uses,
     since a single lucky repeat should not mask a real slowdown --
     and the sample stdev quantifies how trustworthy the point is.
+
+    The engine's work counters (:func:`work_counters`) ride along:
+    they are deterministic, so the last repeat's values stand for all.
     """
     times: List[float] = []
     cycles = 0
+    work: Dict[str, int] = {}
     for _ in range(max(1, repeats)):
         runner = ExperimentRunner(strict=strict)
         system = runner.build(key)
@@ -93,6 +97,7 @@ def measure_point(key: RunKey, repeats: int = 3,
         elapsed = time.perf_counter() - start
         cycles = result.cycles
         times.append(elapsed)
+        work = work_counters(system.sim)
     best = min(times)
     median = statistics.median(times)
     stdev = statistics.stdev(times) if len(times) > 1 else 0.0
@@ -105,6 +110,26 @@ def measure_point(key: RunKey, repeats: int = 3,
         "cycles_per_second_median": (
             round(cycles / median, 1) if median else 0.0
         ),
+        **work,
+    }
+
+
+def work_counters(sim) -> Dict[str, int]:
+    """How much work the engine did for a finished run.
+
+    ``ticks_executed`` counts component ticks actually run,
+    ``ticks_elided`` the ticks quiescence skipped (``strict`` runs
+    elide none), and ``fast_forwarded_cycles`` the cycles the clock
+    jumped while every component slept.  Every component is registered
+    before cycle 0, so executed plus elided is exactly
+    components x cycles.  These explain a throughput delta: an engine
+    change can run *more* ticks and still win if each is cheaper.
+    """
+    elided = sim.skipped_ticks
+    return {
+        "ticks_executed": len(sim.components) * sim.cycle - elided,
+        "ticks_elided": elided,
+        "fast_forwarded_cycles": sim.fast_forwarded_cycles,
     }
 
 
@@ -258,8 +283,10 @@ def delta_table(old: Dict[str, object],
     Ratios use the same median-preferred figure the regression gate
     uses (:func:`gate_cps`); the trailing stdev columns show each
     side's run-to-run noise (stdev / median wall time, percent) so a
-    delta can be read against the measurement's jitter -- a dash
-    means the report predates noise recording.
+    delta can be read against the measurement's jitter, and the last
+    column is the new/old ratio of executed component ticks
+    (:func:`work_counters`) -- a dash means the report predates that
+    field.
     """
     lines: List[str] = []
     old_points = old.get("points", {})
@@ -270,7 +297,8 @@ def delta_table(old: Dict[str, object],
             f"new={new.get('mode')}); deltas compare different engines"
         )
     header = (f"{'point':<24} {'old cyc/s':>12} {'new cyc/s':>12} "
-              f"{'ratio':>7} {'delta':>8} {'old sd':>7} {'new sd':>7}")
+              f"{'ratio':>7} {'delta':>8} {'old sd':>7} {'new sd':>7} "
+              f"{'ticks':>7}")
     lines.append(header)
     lines.append("-" * len(header))
     for name in sorted(set(old_points) | set(new_points)):
@@ -288,8 +316,13 @@ def delta_table(old: Dict[str, object],
         for point in (old_point, new_point):
             noise = _rel_stdev(point)
             noises.append("-" if noise is None else f"{noise * 100.0:.1f}%")
+        old_ticks = old_point.get("ticks_executed")
+        new_ticks = new_point.get("ticks_executed")
+        ticks = (f"{new_ticks / old_ticks:.2f}x"
+                 if old_ticks and new_ticks is not None else "-")
         lines.append(
             f"{name:<24} {old_cps:>12.0f} {new_cps:>12.0f} "
-            f"{ratio:>6.2f}x {delta:>+7.1f}% {noises[0]:>7} {noises[1]:>7}"
+            f"{ratio:>6.2f}x {delta:>+7.1f}% {noises[0]:>7} {noises[1]:>7} "
+            f"{ticks:>7}"
         )
     return lines

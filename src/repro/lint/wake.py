@@ -1,4 +1,4 @@
-"""W001/W002/W003 -- the lost-wakeup detector.
+"""W001/W002 -- the lost-wakeup detector.
 
 The quiescence engine lets a component sleep; anything that delivers
 work into a sleeping component's ingress queue MUST call ``wake()`` on
@@ -14,20 +14,11 @@ hand; this checker makes the pairing mechanical:
   idiom ``if not self._awake: self.wake()``) but the conditional never
   calls ``self.wake()`` -- i.e. someone deleted or typo'd the wake but
   left the guard.
-* **W003** -- the component's ``tick`` can return a *timed deadline*
-  (an int: "asleep until cycle X"), and a public ingress method has a
-  push site with no ``self.wake()`` reachable from it.  Timed sleepers
-  raise the stakes: a missed wake does not just idle until the next
-  external wake, it makes the engine trust a stale deadline, so the
-  push sits until an unrelated event (or forever).  Per push site,
-  "reachable" is approximated as a wake that precedes the push, or one
-  that follows it with no ``return`` in between (the post-push wake
-  idiom in inlined hot paths).
 
-For W001, reachability is approximated by presence: a ``self.wake()``
-anywhere in the method satisfies it.  That matches the codebase idiom
-(guard first, push after) and keeps the checker free of false
-positives from capacity-check early returns.
+Reachability is approximated by presence: a ``self.wake()`` anywhere in
+the method satisfies W001.  That matches the codebase idiom (guard
+first, push after) and keeps the checker free of false positives from
+capacity-check early returns.
 """
 
 from __future__ import annotations
@@ -150,98 +141,6 @@ def _has_self_wake(tree: ast.AST) -> bool:
     return False
 
 
-def _tick_method_names(cls: ast.ClassDef) -> Set[str]:
-    """``tick`` plus any method bound over it in ``__init__``.
-
-    Columnar components shadow the class method with a bound variant
-    (``self.tick = self._tick_columnar``), so the timed-deadline scan
-    must look inside the shadow body too.
-    """
-    names = {"tick"}
-    init = next((n for n in cls.body
-                 if isinstance(n, ast.FunctionDef) and n.name == "__init__"),
-                None)
-    if init is None:
-        return names
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign):
-            continue
-        for tgt in node.targets:
-            if (isinstance(tgt, ast.Attribute) and tgt.attr == "tick"
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
-                    and isinstance(node.value, ast.Attribute)
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "self"):
-                names.add(node.value.attr)
-    return names
-
-
-def _expr_possibly_timed(expr: ast.expr) -> bool:
-    """Could this return expression be an int wakeup deadline?
-
-    Conservative shape test: names and arithmetic may carry a cycle
-    number; ``not``/comparison/bool-op/call results and bool/None
-    constants cannot.  Conditional expressions are timed when either
-    branch is (the ``deadline if deadline > now + 1 else False``
-    idiom).
-    """
-    if isinstance(expr, ast.IfExp):
-        return (_expr_possibly_timed(expr.body)
-                or _expr_possibly_timed(expr.orelse))
-    if isinstance(expr, ast.Constant):
-        return isinstance(expr.value, int) and not isinstance(
-            expr.value, bool)
-    if isinstance(expr, (ast.Name, ast.BinOp, ast.Attribute,
-                         ast.Subscript)):
-        return True
-    return False
-
-
-def _returns_timed_deadline(func: ast.FunctionDef) -> bool:
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Return) and node.value is not None
-                and _expr_possibly_timed(node.value)):
-            return True
-    return False
-
-
-def _is_timed_component(cls: ast.ClassDef) -> bool:
-    """True when any tick body of *cls* can return an int deadline."""
-    tick_names = _tick_method_names(cls)
-    for func in cls.body:
-        if (isinstance(func, ast.FunctionDef) and func.name in tick_names
-                and _returns_timed_deadline(func)):
-            return True
-    return False
-
-
-def _wake_reachable_from(push: ast.Call,
-                         func: ast.FunctionDef) -> bool:
-    """A ``self.wake()`` covers this push site (see module docstring)."""
-    wake_lines = [
-        node.lineno for node in ast.walk(func)
-        if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "wake"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self")
-    ]
-    if not wake_lines:
-        return False
-    return_lines = [
-        node.lineno for node in ast.walk(func)
-        if isinstance(node, ast.Return)
-    ]
-    for wake_line in wake_lines:
-        if wake_line <= push.lineno:
-            return True
-        if not any(push.lineno < ret < wake_line
-                   for ret in return_lines):
-            return True
-    return False
-
-
 def _awake_guards(func: ast.FunctionDef, resolver: Resolver):
     """``If`` nodes whose test references ``self._awake``."""
     for node in ast.walk(func):
@@ -259,30 +158,26 @@ class WakeSiteChecker(Checker):
     rules = {
         "W001": "ingress push without a reachable self.wake()",
         "W002": "self._awake guard that never calls self.wake()",
-        "W003": "timed-wakeup component: ingress push site with no "
-                "reachable self.wake()",
     }
 
     def check_module(self, module: LintModule) -> List[Finding]:
-        """Apply W001-W003 to every Component subclass in the module."""
+        """Apply W001/W002 to every Component subclass in the module."""
         findings: List[Finding] = []
         for cls in module.top_level_classes():
             if not _is_component_class(cls):
                 continue
             queue_attrs = _queue_attrs(cls)
-            timed = _is_timed_component(cls)
             for func in cls.body:
                 if not isinstance(func, ast.FunctionDef):
                     continue
                 resolver = Resolver(module, func)
                 findings.extend(self._check_method(
-                    module, cls, func, resolver, queue_attrs, timed))
+                    module, cls, func, resolver, queue_attrs))
         return findings
 
     def _check_method(self, module: LintModule, cls: ast.ClassDef,
                       func: ast.FunctionDef, resolver: Resolver,
-                      queue_attrs: Set[str],
-                      timed: bool = False) -> List[Finding]:
+                      queue_attrs: Set[str]) -> List[Finding]:
         findings: List[Finding] = []
         # W002 applies to every method except wake() itself (whose body
         # is the guard).
@@ -311,23 +206,4 @@ class WakeSiteChecker(Checker):
                 hint="add `if not self._awake: self.wake()` before the "
                      "push (see docs/LINT.md#wake-site)",
             ))
-        # W003: per-push-site reachability for timed sleepers.  A
-        # component whose tick returns int deadlines depends on wake()
-        # cancelling them (via the wake epoch); an uncovered push site
-        # leaves the engine honouring a stale deadline.
-        if timed:
-            for push in pushes:
-                if not _wake_reachable_from(push, func):
-                    findings.append(self.finding(
-                        module, push, "W003",
-                        "%s returns timed deadlines from tick() but "
-                        "%s.%s has a push site with no reachable "
-                        "self.wake() -- the sleeping component would "
-                        "honour a stale deadline instead of seeing "
-                        "this work" % (cls.name, cls.name, func.name),
-                        hint="wake before the push (`if not "
-                             "self._awake: self.wake()`) or "
-                             "unconditionally after it, before any "
-                             "return (see docs/LINT.md#wake-site)",
-                    ))
         return findings

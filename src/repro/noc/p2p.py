@@ -48,13 +48,6 @@ class PartitionLinks(Component):
             capacity=capacity,
             name=f"{self.name}.rep",
         )
-        #: Captured at sleep time: whether each direction went to sleep
-        #: credit-starved (non-empty ingress).  on_skipped must replay
-        #: busy-cycle/credit accrual for exactly those directions, and
-        #: the ingress state *during* the slept stretch is what counts
-        #: (a push at the wake cycle must not retro-accrue).
-        self._req_accrue = False
-        self._rep_accrue = False
 
     def send_request(self, request: MemoryRequest) -> bool:
         """Queue a request on the SM-to-LLC direction."""
@@ -91,9 +84,6 @@ class PartitionLinks(Component):
         # (when also nothing is deliverable yet, the delivery loop is a
         # no-op too), so inline those no-op shapes and skip the call.
         request_link = self.request_link
-        reply_link = self.reply_link
-        moved = (request_link.packets_transferred
-                 + reply_link.packets_transferred)
         if request_link.input._items:
             request_link.tick(now)
         else:
@@ -102,6 +92,7 @@ class PartitionLinks(Component):
                 request_link.tick(now)
             elif request_link._credit > request_link.width_bytes:
                 request_link._credit = request_link.width_bytes
+        reply_link = self.reply_link
         if reply_link.input._items:
             reply_link.tick(now)
         else:
@@ -110,35 +101,13 @@ class PartitionLinks(Component):
                 reply_link.tick(now)
             elif reply_link._credit > reply_link.width_bytes:
                 reply_link._credit = reply_link.width_bytes
-        # Activity verdict from end-of-tick state: drained -> sleep
-        # untimed; otherwise the next known event (in-flight maturity,
-        # credit refill) across both directions, or stay awake when
-        # either direction can progress within a cycle.  A link pair
-        # that moved a packet this cycle is plainly active (the
-        # streaming common case): skip the verdict computation.
-        if (request_link.packets_transferred
-                + reply_link.packets_transferred != moved):
-            return False
-        if not (
+        # Idle verdict from end-of-tick state (== self.idle(now)).
+        return not (
             request_link.input._items
             or request_link._in_flight
             or reply_link.input._items
             or reply_link._in_flight
-        ):
-            return True
-        if now < self._no_sleep_until:
-            return False  # anti-churn window: timed verdict discarded
-        req_verdict = request_link.wake_verdict(now)
-        if req_verdict is False:
-            return False
-        rep_verdict = reply_link.wake_verdict(now)
-        if rep_verdict is False:
-            return False
-        if req_verdict is True:
-            return rep_verdict
-        if rep_verdict is True:
-            return req_verdict
-        return req_verdict if req_verdict < rep_verdict else rep_verdict
+        )
 
     # -- activity contract ---------------------------------------------
 
@@ -147,29 +116,10 @@ class PartitionLinks(Component):
         return self.request_link.idle and self.reply_link.idle
 
     def on_sleep(self, now: int) -> None:
-        """Capture per-direction accrual mode, then clamp idle credit.
-
-        A direction sleeping with an empty ingress gets the idempotent
-        credit clamp its strict-mode idle ticks would apply; a
-        direction sleeping credit-starved (timed wakeup) instead keeps
-        banking credit, replayed in :meth:`on_skipped`.
-        """
-        request_link = self.request_link
-        reply_link = self.reply_link
-        self._req_accrue = bool(request_link.input._items)
-        self._rep_accrue = bool(reply_link.input._items)
-        if not self._req_accrue:
-            request_link.quiesce()
-        if not self._rep_accrue:
-            reply_link.quiesce()
-
-    def on_skipped(self, cycles: int) -> None:
-        """Replay busy-cycle/credit accrual for directions that slept
-        with packets queued (see on_sleep)."""
-        if self._req_accrue:
-            self.request_link.accrue_skipped(cycles)
-        if self._rep_accrue:
-            self.reply_link.accrue_skipped(cycles)
+        """Apply the idle-cycle credit clamp each link's strict-mode
+        tick would have performed (idempotent, so once is enough)."""
+        self.request_link.quiesce()
+        self.reply_link.quiesce()
 
     @property
     def pending(self) -> int:

@@ -49,17 +49,12 @@ class _TickProxy:
         #: Strict-mode ticks the engine elided for this component.
         self.skipped = 0
 
-    def tick(self, now: int) -> object:
-        """Forward one cycle to the wrapped component, timed.
-
-        The inner verdict (True / False / int deadline) passes through
-        unchanged so timed wakeups survive profiling.
-        """
+    def tick(self, now: int) -> None:
+        """Forward one cycle to the wrapped component, timed."""
         start = time.perf_counter()
-        verdict = self.inner.tick(now)
+        self.inner.tick(now)
         self.seconds += time.perf_counter() - start
         self.ticks += 1
-        return verdict
 
     # -- activity contract (delegated to the wrapped component) --------
 
@@ -78,30 +73,6 @@ class _TickProxy:
     @_idle_since.setter
     def _idle_since(self, value: int) -> None:
         self.inner._idle_since = value
-
-    @property
-    def _wake_epoch(self) -> int:
-        return self.inner._wake_epoch
-
-    @_wake_epoch.setter
-    def _wake_epoch(self, value: int) -> None:
-        self.inner._wake_epoch = value
-
-    @property
-    def _no_sleep_until(self) -> int:
-        return self.inner._no_sleep_until
-
-    @_no_sleep_until.setter
-    def _no_sleep_until(self, value: int) -> None:
-        self.inner._no_sleep_until = value
-
-    @property
-    def _slept_at(self) -> int:
-        return self.inner._slept_at
-
-    @_slept_at.setter
-    def _slept_at(self, value: int) -> None:
-        self.inner._slept_at = value
 
     @property
     def tracer(self):

@@ -31,17 +31,6 @@ maintains an *activity contract*:
   the component back on the active list.  A component woken before its
   registration slot in the current cycle still ticks this cycle --
   exactly the visibility order strict mode produces.
-* A component that knows *when* its next real work arrives (a delay
-  line matures at ``t+latency``, a DRAM bank is busy until ``t_ready``,
-  a link accrues credit linearly) may return that cycle number from
-  ``tick``/``idle`` instead of ``True``: a **timed wakeup**.  The
-  engine parks the component on a min-heap of deadlines and re-wakes
-  it exactly at the deadline cycle, so the component is ticked at the
-  first cycle a strict-mode tick would have done real work.  An
-  ingress ``wake()`` before the deadline cancels it lazily: each
-  component carries a wake epoch, bumped on every wakeup, and popped
-  heap entries whose recorded epoch is stale are discarded (no heap
-  surgery on the hot path).
 * Components whose skipped ticks would have advanced per-cycle
   counters (an SM counts stall cycles even when fully blocked)
   implement :meth:`Component.on_skipped`; the engine reports the exact
@@ -49,10 +38,13 @@ maintains an *activity contract*:
   fires, and before ``run``/``run_until`` return, so every observation
   point sees counters identical to strict mode's.
 * When *every* component is asleep, ``run``/``run_until`` fast-forward
-  the clock to ``min(next wakeup deadline, next hook deadline)`` (or
-  the chunk/run end) instead of stepping cycle by cycle; hooks due at
-  the landing cycle fire before the re-woken components tick there,
-  preserving strict mode's end-of-cycle hook ordering.
+  the clock to the next hook deadline (or the chunk/run end) instead of
+  stepping cycle by cycle.
+
+The verdict is deliberately binary.  A deadline variant ("asleep until
+cycle X", kept on a heap) elided more ticks but cost more host time
+per tick than it saved, and was retired (docs/PERFORMANCE.md,
+"Retired lanes").
 
 ``Simulator(strict=True)`` disables all of this and ticks every
 component every cycle -- the escape hatch for debugging a suspected
@@ -68,7 +60,6 @@ docs/TRACING.md.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -76,13 +67,6 @@ from repro.sim.stats import StatsRegistry
 
 #: Sentinel next-fire cycle when no clock hooks are registered.
 _NEVER = float("inf")
-
-#: Shortest deadline horizon worth a timed sleep, in cycles from now.
-#: A sleep/wake round trip (heap entry, on_sleep, on_skipped replay)
-#: costs more host time than a couple of near-no-op ticks, so verdicts
-#: due sooner than this keep the component awake.  Purely a host-speed
-#: knob: staying awake is always result-identical.
-_MIN_TIMED_SLEEP = 2
 
 
 class Component:
@@ -107,24 +91,6 @@ class Component:
         #: First cycle this component did not tick (-1 = none pending);
         #: the engine uses it to report exact skip counts.
         self._idle_since = -1
-        #: Wake generation counter for timed wakeups: bumped on every
-        #: transition back to awake, so deadline heap entries recorded
-        #: under an older epoch are recognised as stale when popped
-        #: (lazy cancellation -- no heap surgery on ``wake``).
-        self._wake_epoch = 0
-        #: Anti-churn gate: timed sleeps are suppressed until this
-        #: cycle.  Set by :meth:`wake` when it cancels a sleep that
-        #: barely got started -- under saturation a component's
-        #: deadline sleep is often voided by an ingress push a cycle
-        #: later, and the sleep/wake/replay round trip then costs more
-        #: than the ticks it elides.  Staying awake is always safe
-        #: (ticking IS the strict schedule), so this affects speed
-        #: only, never results.
-        self._no_sleep_until = 0
-        #: Cycle of the last transition to sleep (wake() compares it
-        #: against the clock to spot cancelled-immediately sleeps;
-        #: unlike ``_idle_since`` it is not advanced by fast-forward).
-        self._slept_at = -(1 << 30)
         #: Pre-created per instance (shadowing the class default) so
         #: :meth:`~repro.obs.tracer.Tracer.bind` replaces an existing
         #: ``__dict__`` key instead of growing the dict of every hot
@@ -140,52 +106,29 @@ class Component:
         hot components compute it from locals they already hold at the
         end of their tick.  Returning ``None`` (the default) makes the
         engine call :meth:`idle` as usual; the two forms must agree.
-
-        A component whose next cycle of real work is *known* may
-        return that cycle number (an int ``> now + 1``) instead of
-        ``True``: "asleep until cycle X".  The promise is the timed
-        variant of :meth:`idle`'s -- every elided tick strictly before
-        X must be a no-op (or reproduced by :meth:`on_skipped`), and
-        the engine guarantees a tick at X unless an earlier ``wake()``
-        re-activates the component first.  Note ``True == 1`` in
-        Python: the engine distinguishes the two with identity checks,
-        so a deadline of literal cycle 1 is never misread (deadlines
-        are ``> now + 1`` anyway).
         """
         raise NotImplementedError
 
     # -- activity contract --------------------------------------------
 
-    def idle(self, now: int) -> object:
+    def idle(self, now: int) -> bool:
         """True when every future ``tick`` is a no-op until an external
         event calls :meth:`wake`.  Evaluated right after ``tick(now)``.
 
         The promise must hold *exactly*: a component whose strict-mode
         tick would mutate any state (even a counter) while "idle" must
         either return False or reproduce the mutation in
-        :meth:`on_skipped`.  Like :meth:`tick`, may return a deadline
-        cycle instead of ``True`` (see the timed-wakeup contract
-        there).
+        :meth:`on_skipped`.
         """
         return False
 
     def wake(self) -> None:
-        """Re-activate after an external event (idempotent, cheap).
-
-        Bumping the wake epoch invalidates any pending timed-wakeup
-        heap entry for this component (recorded under the old epoch).
-        """
+        """Re-activate after an external event (idempotent, cheap)."""
         if not self._awake:
             self._awake = True
-            self._wake_epoch += 1
             sim = self._sim
             if sim is not None:
                 sim._n_asleep -= 1
-                # A sleep cancelled within a few cycles elided
-                # (almost) nothing; back off from timed sleeps for a
-                # while.
-                if sim.cycle - self._slept_at < 4:
-                    self._no_sleep_until = sim.cycle + 64
 
     def on_sleep(self, now: int) -> None:
         """Hook invoked once when the engine stops ticking this
@@ -232,15 +175,6 @@ class Simulator:
         #: Earliest pending hook fire (cached so the hot loop checks
         #: one number instead of scanning the hook list every cycle).
         self._next_hook = _NEVER
-        #: Timed-wakeup min-heap of (deadline, seq, component, epoch).
-        #: The seq tiebreaker keeps tuples comparable; the epoch makes
-        #: entries self-invalidating (see Component._wake_epoch).
-        self._wakeups: List[tuple] = []
-        self._wakeup_seq = 0
-        #: Earliest pending deadline (cached like _next_hook; may be
-        #: stale-early when the heap top is a cancelled entry, which
-        #: only costs a harmless extra _wake_due sweep).
-        self._next_wakeup = _NEVER
 
     def add(self, component: Component) -> Component:
         """Register a component; returns it for chaining."""
@@ -286,8 +220,6 @@ class Simulator:
             for component in self.components:
                 component.tick(now)
         else:
-            if self._next_wakeup <= now:
-                self._wake_due(now)
             n_slept = 0
             for component in self.components:
                 if component._awake:
@@ -301,28 +233,8 @@ class Simulator:
                     if asleep is None:
                         asleep = component.idle(now)
                     if asleep:
-                        if asleep is not True:
-                            # Timed wakeup: an int deadline ("asleep
-                            # until cycle X").  Near-due verdicts gain
-                            # nothing over staying awake, and a
-                            # component in its anti-churn window (see
-                            # Component.wake) keeps ticking.
-                            if asleep - now < _MIN_TIMED_SLEEP:
-                                continue
-                            if now < component._no_sleep_until:
-                                continue
-                            seq = self._wakeup_seq + 1
-                            self._wakeup_seq = seq
-                            heappush(
-                                self._wakeups,
-                                (asleep, seq, component,
-                                 component._wake_epoch),
-                            )
-                            if asleep < self._next_wakeup:
-                                self._next_wakeup = asleep
                         component._awake = False
                         component._idle_since = now + 1
-                        component._slept_at = now
                         component.on_sleep(now)
                         n_slept += 1
             if n_slept:
@@ -330,30 +242,6 @@ class Simulator:
         self.cycle = now + 1
         if self.cycle >= self._next_hook:
             self._fire_hooks()
-
-    def _wake_due(self, now: int) -> None:
-        """Re-activate every component whose deadline has arrived.
-
-        Pops due heap entries; an entry is live only while its recorded
-        epoch matches the component's current wake epoch *and* the
-        component is still asleep -- anything else is a cancelled
-        deadline left behind by an earlier ingress ``wake()``.  Skip
-        accounting is NOT flushed here: the woken component flows
-        through the normal ``step`` path, which reports the exact
-        elided-tick count via ``on_skipped`` before the next tick.
-        """
-        heap = self._wakeups
-        n_woken = 0
-        while heap and heap[0][0] <= now:
-            entry = heappop(heap)
-            component = entry[2]
-            if component._wake_epoch == entry[3] and not component._awake:
-                component._awake = True
-                component._wake_epoch = entry[3] + 1
-                n_woken += 1
-        if n_woken:
-            self._n_asleep -= n_woken
-        self._next_wakeup = heap[0][0] if heap else _NEVER
 
     def _fire_hooks(self) -> None:
         """Run every hook whose next-fire cycle has been reached."""
@@ -386,28 +274,19 @@ class Simulator:
     def _fast_forward(self, limit: int) -> None:
         """Jump the clock while every component sleeps.
 
-        Advances straight to the earlier of the next hook deadline
-        (hooks can create new work, e.g. page migration enqueueing
-        DRAM writebacks) and the next timed-wakeup deadline, or to
-        ``limit``, whichever comes first.  Hooks due at the landing
-        cycle fire first (they see end-of-previous-cycle state, as in
-        strict mode), then due components are re-woken so the next
-        ``step`` ticks them at the landing cycle.  Equivalent to
-        stepping: a fully quiescent strict-mode cycle only advances
-        the clock and checks hooks.
+        Advances straight to the next hook deadline (hooks can create
+        new work, e.g. page migration enqueueing DRAM writebacks) or to
+        ``limit``, whichever comes first, and fires any hooks due at
+        the landing cycle.  Equivalent to stepping: a fully quiescent
+        strict-mode cycle only advances the clock and checks hooks.
         """
         target = self._next_hook
-        wakeup = self._next_wakeup
-        if wakeup < target:
-            target = wakeup
         if target > limit:
             target = limit
         self.fast_forwarded_cycles += target - self.cycle
         self.cycle = target
         if target >= self._next_hook:
             self._fire_hooks()
-        if self._next_wakeup <= target:
-            self._wake_due(target)
 
     def run(self, cycles: int) -> None:
         """Run a fixed number of cycles."""

@@ -221,55 +221,6 @@ class BandwidthLink(Generic[T]):
         if self._credit > self.width_bytes:
             self._credit = self.width_bytes
 
-    def wake_verdict(self, now: int) -> object:
-        """Post-tick activity verdict under the timed-wakeup contract.
-
-        ``True``: fully drained -- sleep until an ingress push.
-        ``int``: the head in-flight packet's maturity cycle, the first
-        future cycle a tick does real work.
-        ``False``: a tick may make progress any cycle (matured head
-        refused by the sink retries every cycle; a queued packet
-        accrues credit per tick), so the owner must stay awake.
-
-        A credit-starved link (queued packet larger than banked
-        credit) deliberately does NOT sleep on its refill-completion
-        cycle: each strict tick mutates the banked-credit float, so a
-        sleeping link must replay the per-cycle accrual on wake
-        (:meth:`accrue_skipped`) *after* its verdict already replayed
-        it to find the refill cycle -- twice the float work the elided
-        ticks would have done.  Starved means busy; ticking through is
-        both simpler and faster.
-        """
-        in_flight = self._in_flight
-        mature = in_flight[0][0] if in_flight else None
-        if mature is not None and mature <= now:
-            return False  # head-of-line blocked: retry every cycle
-        if self.input._items:
-            return False  # credit-starved: accrual ticks every cycle
-        if mature is None:
-            return True
-        return mature if mature > now + 1 else False
-
-    def accrue_skipped(self, cycles: int) -> None:
-        """Replay ``cycles`` elided busy-waiting ticks.
-
-        Each strict-mode tick with a non-empty ingress counts one busy
-        cycle and accrues one cycle of credit (clamped to the cap)
-        even when nothing can be transferred; a credit-starved owner
-        that slept through such ticks reports them here.  The loop
-        mirrors ``tick``'s per-cycle add-then-clamp so the resulting
-        float is bit-identical to strict mode's.
-        """
-        self.busy_cycles += cycles
-        credit = self._credit
-        width = self.width_bytes
-        cap = self._credit_cap
-        for _ in range(cycles):
-            credit += width
-            if credit > cap:
-                credit = cap
-        self._credit = credit
-
     def tick(self, now: int) -> None:
         """Advance the link by one cycle: earn credit, launch packets and
         deliver packets whose latency elapsed."""

@@ -39,10 +39,6 @@ LSU_QUEUE_LIMIT = 48
 #: How often (cycles) the SM scans for retired CTAs to refill.
 CTA_REFILL_PERIOD = 8
 
-#: "No warp self-advances" sentinel for the ready watermark (far
-#: beyond any reachable cycle count).
-_FAR = 1 << 60
-
 #: Kernel-launch stagger between SMs (cycles). The GigaThread engine
 #: distributes CTAs to SMs in order, so low-numbered SMs start (and
 #: first-touch shared pages) earlier -- the effect behind first-touch's
@@ -82,13 +78,6 @@ class SMCore(Component):
         self._cta_source: Optional[DistributedCTAScheduler] = None
         self._active_ctas: List[CTA] = []
         self._launch_at = 0
-        #: Floor on the next cycle any warp self-advances (compute
-        #: latency expiry, replay, barrier release, post-store ready).
-        #: Every ``warp.ready_at`` assignment lowers it; the verdict
-        #: scan raises it back to the exact minimum when due, so the
-        #: full warp scan runs only when a self-advance is imminent
-        #: (see the tick tail).  0 == "unknown, must scan".
-        self._next_self_ready = 0
         self._read_only_spaces: Set[str] = set()
         self._max_ctas = max(
             1, gpu.sm.warps_per_sm // max(1, self._warps_per_cta_guess())
@@ -120,7 +109,6 @@ class SMCore(Component):
         self._read_only_spaces = read_only_spaces
         self._active_ctas = []
         self._launch_at = now + self.sm_id * CTA_LAUNCH_STAGGER
-        self._next_self_ready = 0  # previous kernel's watermark is stale
         self._max_ctas = max(
             1, self.gpu.sm.warps_per_sm // cta_source.warps_per_cta
         )
@@ -149,11 +137,6 @@ class SMCore(Component):
             if cta is None:
                 break
             self._active_ctas.append(cta)
-            # Fresh warps carry ready_at values that never crossed a
-            # watermark site; force the next tick's full ready scan or
-            # a stale (possibly far-future) watermark turns into a
-            # timed sleep over runnable warps.
-            self._next_self_ready = 0
             for index, warp in enumerate(cta.warps):
                 warp.sched_index = index % len(self.schedulers)
                 self.schedulers[warp.sched_index].add_warp(warp)
@@ -212,76 +195,15 @@ class SMCore(Component):
             self._drain_out()
         if self._lsu:
             self._access_l1(now)
-        issued = self._issue(now)
+        self._issue(now)
         if not now & (CTA_REFILL_PERIOD - 1):
             self._refill_ctas()
-        # Activity verdict from end-of-tick state.  An SM that issued
-        # this cycle is plainly active -- skip the verdict scan, the
-        # dominant case while a kernel runs.  Queued replies or
-        # outbound requests need per-cycle ticks; otherwise every
-        # internal time-driven path (LSU heap, L1 hit returns, warps
-        # waiting out compute latencies) matures at a known cycle, so
-        # a stalled SM sleeps until the earliest of them -- a reply
-        # delivery wakes it early.  Skipped cycles still count as
-        # stall/idle cycles, reproduced exactly in on_skipped.
-        if issued:
+        # Cheap pre-filter on the idle verdict: a busy SM (the common
+        # case while ticking) skips the full warp/CTA scan in idle().
+        if (self._lsu or self._replies._items or self._out._items
+                or self._hit_returns._items):
             return False
-        if now < self._no_sleep_until:
-            # Anti-churn window: a timed verdict would be discarded, so
-            # fall back to the binary one -- cheap pre-filter, full
-            # idle scan only when every queue is drained (an untimed
-            # sleep is still allowed and still profitable here).
-            if (self._lsu or self._replies._items or self._out._items
-                    or self._hit_returns._items):
-                return False
-            return self.idle(now)
-        if self._replies._items or self._out._items:
-            return False
-        deadline = -1
-        lsu = self._lsu
-        if lsu:
-            ready_at = lsu[0][0]
-            if ready_at <= now:
-                return False  # matured beyond this cycle's port budget
-            deadline = ready_at
-        hit_items = self._hit_returns._items
-        if hit_items:
-            at = hit_items[0][0]
-            if deadline < 0 or at < deadline:
-                deadline = at
-        next_ready = self._next_self_ready
-        if next_ready > now + 1:
-            # No warp can self-advance before the watermark (every
-            # ready_at assignment lowers it), so skip the warp scan.
-            if deadline < 0 or next_ready < deadline:
-                deadline = next_ready
-        else:
-            next_ready = _FAR
-            for scheduler in self.schedulers:
-                for warp in scheduler._warps:
-                    if (not warp.done and not warp.at_barrier
-                            and warp.outstanding == 0):
-                        ready_at = warp.ready_at
-                        if ready_at <= now + 1:
-                            return False  # issuable now or next cycle
-                        if ready_at < next_ready:
-                            next_ready = ready_at
-            # Raise the watermark to the exact scan minimum; it only
-            # drops again when a new ready_at is assigned.
-            self._next_self_ready = next_ready
-            if next_ready < _FAR and (deadline < 0 or next_ready < deadline):
-                deadline = next_ready
-        ctas = self._active_ctas
-        for cta in ctas:
-            if cta.finished:
-                return False  # the next refill scan would retire it
-        source = self._cta_source
-        if (source is not None and len(ctas) < self._max_ctas
-                and source.remaining(self.sm_id)):
-            return False  # the next refill scan would launch a CTA
-        if deadline < 0:
-            return True
-        return deadline if deadline > now + 1 else False
+        return self.idle(now)
 
     # -- activity contract ---------------------------------------------
 
@@ -443,7 +365,7 @@ class SMCore(Component):
             if occupancy > out.peak_occupancy:
                 out.peak_occupancy = occupancy
 
-    def _issue(self, now: int) -> int:
+    def _issue(self, now: int) -> None:
         issued = 0
         for scheduler in self.schedulers:
             # GTOScheduler.pick inlined (greedy first, else oldest) --
@@ -478,10 +400,7 @@ class SMCore(Component):
             issued += 1
             warp.instructions_issued += 1
             if type(instr) is Compute:
-                ready_at = now + instr.cycles
-                warp.ready_at = ready_at
-                if ready_at < self._next_self_ready:
-                    self._next_self_ready = ready_at
+                warp.ready_at = now + instr.cycles
                 continue
             if type(instr) is Barrier:
                 self._arrive_at_barrier(warp, scheduler, now)
@@ -494,7 +413,6 @@ class SMCore(Component):
             self.instructions += issued
         else:
             self.stall_cycles += 1
-        return issued
 
     def _issue_mem(
         self,
@@ -507,8 +425,6 @@ class SMCore(Component):
             # LSU queue full: replay the instruction later.
             warp.stalled_instr = instr
             warp.ready_at = now + 2
-            if now + 2 < self._next_self_ready:
-                self._next_self_ready = now + 2
             self.instructions -= 1
             warp.instructions_issued -= 1
             scheduler.notify_stall(warp)
@@ -568,8 +484,6 @@ class SMCore(Component):
             warp.block_on_loads(count)
             scheduler.notify_stall(warp)
         warp.ready_at = now + 1
-        if now + 1 < self._next_self_ready:
-            self._next_self_ready = now + 1
 
     def _arrive_at_barrier(self, warp: Warp, scheduler, now: int) -> None:
         """``bar.sync``: block the warp until its whole CTA arrives;
@@ -587,8 +501,6 @@ class SMCore(Component):
             for member in cta.warps:
                 member.at_barrier = False
                 member.ready_at = now + 1
-            if now + 1 < self._next_self_ready:
-                self._next_self_ready = now + 1
             self.l1.flush()
             self.barriers_completed += 1
 

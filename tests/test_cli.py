@@ -41,9 +41,14 @@ class TestParsing:
         from repro.cli import _build_parser
         args = _build_parser().parse_args(
             ["bench-perf", "--quick", "--disable",
-             "columnar_llc", "columnar_mem", "columnar_xbar"])
-        assert args.disable == ["columnar_llc", "columnar_mem",
-                                "columnar_xbar"]
+             "tlb_mru", "request_pool", "route_table"])
+        assert args.disable == ["tlb_mru", "request_pool", "route_table"]
+
+    def test_bench_perf_disable_rejects_retired_columnar_flag(self):
+        from repro.cli import _build_parser
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["bench-perf", "--disable", "columnar_llc"])
 
     def test_bench_perf_disable_rejects_unknown_flag(self):
         from repro.cli import _build_parser
@@ -150,6 +155,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1.34x" in out and "+34.4%" in out
         assert "only in old report" in out
+
+    def test_bench_perf_compare_shows_executed_tick_ratio(
+            self, tmp_path, capsys):
+        """Reports carrying work counters get a new/old executed-tick
+        ratio; a side without them (an older report) shows a dash."""
+        import json
+
+        def report(points):
+            return {"schema": "repro-bench-engine/1",
+                    "mode": "quiescent", "points": points}
+
+        point = {"cycles": 1000, "wall_seconds": 1.0,
+                 "cycles_per_second": 1000.0}
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps(report({
+            "A/uba": dict(point, ticks_executed=800),
+            "B/nuba": dict(point),
+        })))
+        new.write_text(json.dumps(report({
+            "A/uba": dict(point, ticks_executed=1200),
+            "B/nuba": dict(point, ticks_executed=900),
+        })))
+        assert main(["bench-perf", "--compare", str(old), str(new)]) == 0
+        rows = {line.split()[0]: line.split()
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("A/", "B/"))}
+        assert rows["A/uba"][-1] == "1.50x"
+        assert rows["B/nuba"][-1] == "-"
 
 
 class TestReport:

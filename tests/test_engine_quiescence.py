@@ -62,9 +62,9 @@ CONFIGS = [
                replication=ReplicationPolicy.MDR),
         id="an-nuba-mdr",
     ),
-    # Multi-kernel boundary regression: a later kernel's fresh warps
-    # must invalidate the SM self-ready watermark left by the previous
-    # kernel's final scan, or the SM timed-sleeps over runnable warps.
+    # Executor-conformance regression point: AN under LAB on
+    # memory-side UBA once exposed an SM that slept over runnable warps
+    # launched after a kernel boundary.
     pytest.param(
         RunKey("AN", Architecture.MEM_SIDE_UBA,
                page_policy=PagePolicy.LAB),
@@ -243,129 +243,3 @@ def test_strict_mode_never_skips() -> None:
     assert sleeper.cycles_seen == 500
     assert sim.skipped_ticks == 0
     assert sim.fast_forwarded_cycles == 0
-
-
-# ----------------------------------------------------------------------
-# Timed wakeups (deadline-driven sleep).
-# ----------------------------------------------------------------------
-
-
-class _TimedSleeper(Component):
-    """Sleeps a fixed stride between ticks: tick at cycle ``t``
-    returns the deadline ``t + stride`` (asleep until then)."""
-
-    def __init__(self, stride: int = 10) -> None:
-        super().__init__("timed")
-        self.stride = stride
-        self.tick_cycles: list = []
-        self.skipped = 0
-
-    def tick(self, now: int) -> object:
-        self.tick_cycles.append(now)
-        return now + self.stride
-
-    def on_skipped(self, cycles: int) -> None:
-        self.skipped += cycles
-
-
-def test_timed_wakeup_ticks_only_at_deadlines() -> None:
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=10))
-    sim.run(100)
-    assert sleeper.tick_cycles == list(range(0, 100, 10))
-    # The elided cycles are reported exactly, and the engine
-    # fast-forwards the fully asleep stretches between deadlines.
-    assert sleeper.skipped == 100 - len(sleeper.tick_cycles)
-    assert sim.skipped_ticks == sleeper.skipped
-    assert sim.fast_forwarded_cycles > 0
-    assert sim.cycle == 100
-
-
-def test_deadline_within_one_cycle_keeps_component_awake() -> None:
-    """``now + 1`` is the next tick anyway: sleeping would only add
-    heap traffic, so the engine keeps the component awake."""
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=1))
-    sim.run(50)
-    assert sleeper.tick_cycles == list(range(0, 50))
-    assert sleeper.skipped == 0
-
-
-def test_wake_cancels_a_stale_deadline() -> None:
-    """An ingress wake() before the deadline bumps the component's
-    wake epoch, so the old heap entry must not re-tick it."""
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=50))
-    sim.run(10)  # ticked at 0, asleep until 50
-    assert sleeper._awake is False
-    sleeper.wake()
-    sim.run(60)  # ticks at 10, new deadline 60; stale entry at 50
-    assert sleeper.tick_cycles == [0, 10, 60]
-
-
-def test_timed_verdict_from_idle_is_honoured() -> None:
-    """``idle()`` may return a deadline too (tick returning None
-    falls through to idle, like the base-class contract)."""
-
-    class _IdleTimed(Component):
-        def __init__(self) -> None:
-            super().__init__("idle-timed")
-            self.tick_cycles: list = []
-
-        def tick(self, now: int) -> None:
-            self.tick_cycles.append(now)
-
-        def idle(self, now: int) -> object:
-            return now + 20
-
-    sim = Simulator()
-    component = sim.add(_IdleTimed())
-    sim.run(100)
-    assert component.tick_cycles == [0, 20, 40, 60, 80]
-
-
-def test_hook_registered_midrun_on_a_wakeup_deadline_fires_once() -> None:
-    """A hook whose first firing lands exactly on a pending wakeup
-    deadline fires exactly once there -- before the woken component
-    ticks at that cycle (strict hook-before-tick ordering)."""
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=40))
-    sim.run(10)  # ticked at 0, asleep until 40
-    fired = []
-
-    def hook(cycle: int) -> None:
-        # Hooks at the landing cycle run before the re-woken
-        # component's tick.
-        assert 40 not in sleeper.tick_cycles
-        fired.append(cycle)
-
-    sim.every(30, hook)  # next firing: 10 + 30 = 40, on the deadline
-    sim.run(35)  # through cycle 40, short of the next firing at 70
-    assert fired == [40]
-    assert 40 in sleeper.tick_cycles
-
-
-def test_run_until_clamps_when_deadline_overshoots_the_limit() -> None:
-    """A wakeup deadline far beyond max_cycles must not drag the
-    fast-forward past the limit."""
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=1000))
-    finished = sim.run_until(lambda: False, max_cycles=100,
-                             check_period=64)
-    assert finished is False
-    assert sim.cycle == 100
-    assert sleeper.tick_cycles == [0]
-    # Skip accounting flushed on sync: every elided cycle reported.
-    assert sleeper.skipped == 99
-
-
-def test_profiled_timed_sleeper_still_sleeps() -> None:
-    """TickProfiler proxies pass the timed verdict through."""
-    sim = Simulator()
-    sleeper = sim.add(_TimedSleeper(stride=10))
-    profiler = TickProfiler.attach(sim)
-    sim.run(100)
-    assert sleeper.tick_cycles == list(range(0, 100, 10))
-    proxy = profiler._proxies[0]
-    assert proxy.ticks == len(sleeper.tick_cycles)
-    assert proxy.skipped == 100 - len(sleeper.tick_cycles)

@@ -181,3 +181,38 @@ class TestRunnerErrorPaths:
         key = RunKey("KMEANS", Architecture.NUBA, page_bytes=16384)
         result = runner.run(key)
         assert result.loads_completed > 0
+
+
+class TestBenchPerfWorkCounters:
+    """``bench-perf`` records how many ticks the engine ran and elided."""
+
+    @staticmethod
+    def _sim(strict):
+        from repro.sim.engine import Component, Simulator
+
+        class Busy(Component):
+            def tick(self, now):
+                return False
+
+        class Sleepy(Component):
+            def tick(self, now):
+                return True
+
+        sim = Simulator(strict=strict)
+        sim.add(Busy("busy"))
+        sim.add(Sleepy("sleepy"))
+        sim.run(100)
+        return sim
+
+    def test_quiescent_run_splits_executed_and_elided(self):
+        from repro.experiments.benchperf import work_counters
+        counters = work_counters(self._sim(strict=False))
+        # The busy component ticks every cycle, the sleepy one once.
+        assert counters == {"ticks_executed": 101, "ticks_elided": 99,
+                            "fast_forwarded_cycles": 0}
+
+    def test_strict_run_elides_nothing(self):
+        from repro.experiments.benchperf import work_counters
+        counters = work_counters(self._sim(strict=True))
+        assert counters == {"ticks_executed": 200, "ticks_elided": 0,
+                            "fast_forwarded_cycles": 0}

@@ -135,135 +135,6 @@ class TestWakeChecker:
         assert _rules(result) == []
 
 
-#: A timed-wakeup component: tick() can return an int deadline, so its
-#: ingress must have a wake reachable from every push site (W003).
-TIMED_OK = """
-    from repro.sim.engine import Component
-    from repro.sim.queues import BoundedQueue
-
-    class Timed(Component):
-        def __init__(self):
-            super().__init__("t")
-            self.inbox = BoundedQueue(4, name="in")
-            self._busy_until = 0
-
-        def deliver(self, item):
-            if not self._awake:
-                self.wake()
-            return self.inbox.push(item)
-
-        def tick(self, now):
-            if self.inbox:
-                return False
-            deadline = self._busy_until
-            return deadline if deadline > now + 1 else False
-"""
-
-
-class TestTimedWakeChecker:
-    def test_guarded_push_in_timed_component_is_clean(self):
-        result = _lint("src/repro/sim/fx.py", TIMED_OK,
-                       [WakeSiteChecker()])
-        assert _rules(result) == []
-
-    def test_post_push_wake_before_any_return_is_clean(self):
-        # The inlined-hot-path idiom (crossbar.inject): push first,
-        # wake unconditionally before the method can return.
-        source = TIMED_OK.replace(
-            """def deliver(self, item):
-            if not self._awake:
-                self.wake()
-            return self.inbox.push(item)""",
-            """def deliver(self, item):
-            self.inbox._items.append(item)
-            if not self._awake:
-                self.wake()
-            return True""")
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        assert _rules(result) == []
-
-    def test_wake_behind_return_is_w003(self):
-        # A wake exists (so W001 stays quiet) but an early return sits
-        # between the push and the wake: the full-queue path delivers
-        # without waking a timed sleeper.
-        source = TIMED_OK.replace(
-            """def deliver(self, item):
-            if not self._awake:
-                self.wake()
-            return self.inbox.push(item)""",
-            """def deliver(self, item):
-            ok = self.inbox.push(item)
-            if not ok:
-                return False
-            self.wake()
-            return True""")
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        rules = _rules(result)
-        assert "W003" in rules
-        assert "W001" not in rules
-
-    def test_missing_wake_in_timed_component_is_both_rules(self):
-        source = TIMED_OK.replace(
-            "if not self._awake:\n                self.wake()\n"
-            "            ", "")
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        rules = _rules(result)
-        assert "W001" in rules and "W003" in rules
-
-    def test_untimed_component_is_exempt_from_w003(self):
-        # Same wake-behind-return shape, but tick() only ever returns
-        # a boolean verdict: W003 must not fire (W001's
-        # presence-based approximation accepts the method).
-        source = TIMED_OK.replace(
-            """def deliver(self, item):
-            if not self._awake:
-                self.wake()
-            return self.inbox.push(item)""",
-            """def deliver(self, item):
-            ok = self.inbox.push(item)
-            if not ok:
-                return False
-            self.wake()
-            return True""").replace(
-            """def tick(self, now):
-            if self.inbox:
-                return False
-            deadline = self._busy_until
-            return deadline if deadline > now + 1 else False""",
-            """def tick(self, now):
-            return not self.inbox""")
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        assert "W003" not in _rules(result)
-
-    def test_columnar_tick_shadow_is_scanned(self):
-        # `self.tick = self._tick_columnar` in __init__ makes the
-        # shadow method part of the timed-deadline scan.
-        source = """
-            from repro.sim.engine import Component
-            from repro.sim.queues import BoundedQueue
-
-            class Timed(Component):
-                def __init__(self):
-                    super().__init__("t")
-                    self.inbox = BoundedQueue(4, name="in")
-                    self._busy_until = 0
-                    self.tick = self._tick_columnar
-
-                def deliver(self, item):
-                    ok = self.inbox.push(item)
-                    if not ok:
-                        return False
-                    self.wake()
-                    return True
-
-                def _tick_columnar(self, now):
-                    deadline = self._busy_until
-                    return deadline if deadline > now + 1 else False
-        """
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        assert "W003" in _rules(result)
-
-
 # ---------------------------------------------------------------------------
 # Fastlane discipline (F001/F002) fixtures
 # ---------------------------------------------------------------------------
@@ -328,9 +199,8 @@ class TestFastlaneChecker:
         assert _rules(result) == []
 
     def test_unregistered_columnar_memo_is_f002(self):
-        """A columnar-style live-container registry (module-level list
-        populated under a ``columnar_*`` flag) must register a clearer
-        -- the shape of ``repro.sim.columnar._live`` minus its
+        """A live-container registry (module-level list populated under
+        a fast-lane flag) must register a clearer -- a registry minus its
         ``@fastlane.register_cache`` hook."""
         source = """
             from repro.sim import fastlane
@@ -722,31 +592,6 @@ class TestRealTree:
                            for f in result.new), (rel, match.start())
                 sites += 1
         assert sites >= 13  # today: 13 hand-paired wake sites
-
-    def test_deleting_wake_in_timed_components_raises_w003(self):
-        """Every detectable push site in a timed-wakeup component must
-        lose its wake coverage when the wake call is deleted."""
-        timed_files = (
-            "sm/core.py", "mem/controller.py", "noc/crossbar.py",
-            "noc/p2p.py", "cache/llc_slice.py", "core/mcm.py",
-        )
-        w003_sites = 0
-        for name in timed_files:
-            path = SRC / name
-            source = path.read_text(encoding="utf-8")
-            rel = path.relative_to(REPO).as_posix()
-            for match in re.finditer(r"self\.wake\(\)", source):
-                mutated = (source[:match.start()] + "pass"
-                           + source[match.end():])
-                result = lint_sources({rel: mutated},
-                                      checkers=[WakeSiteChecker()])
-                assert any(f.rule in ("W001", "W002", "W003")
-                           for f in result.new), (rel, match.start())
-                if any(f.rule == "W003" for f in result.new):
-                    w003_sites += 1
-        # The per-site rule must actually bite on the real ingress
-        # methods, not just the fixtures.
-        assert w003_sites >= 6
 
     def test_deleting_any_enabled_guard_fails_lint(self):
         sites = 0
