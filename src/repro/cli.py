@@ -10,7 +10,7 @@ Subcommands::
     python -m repro figure fig7 [--subset KMEANS AN ...] [--workers 4]
     python -m repro sweep fig7 fig10 --workers 4 --store results/
     python -m repro sweep fig7 --shard 0/2 --store shared/  # one of N hosts
-    python -m repro sweep fig7 --backend remote --endpoint http://host:8000
+    python -m repro sweep fig7 --endpoint http://host:8000  # coordinator
     python -m repro bench-perf [--quick] [--update-baseline]
     python -m repro report --out report.md [--workers 4]
     python -m repro serve --port 8000 --store results/ --workers 4
@@ -32,8 +32,9 @@ Distributed sweeps (docs/ORCHESTRATOR.md): ``sweep --shard i/N`` makes
 this host deterministically claim shard ``i`` of the sweep's points --
 no coordinator, N hosts cover the key space exactly once; a final
 unsharded run merges/completes stragglers from the shared store.
-``sweep --backend remote --endpoint URL`` farms points out to one or
-more running services instead of local processes.
+``sweep --endpoint URL`` farms points out to one ``repro serve``
+coordinator instead of local processes; machines join by running
+``repro worker --connect URL`` against it.
 
 Service (docs/SERVICE.md): ``serve`` boots the stdlib HTTP job API in
 front of the orchestrator -- jobs deduplicate against in-flight work
@@ -202,15 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the same command with 0/N..N-1/N on N "
                             "hosts into one --store, then once "
                             "unsharded to merge)")
-    sweep.add_argument("--backend", choices=["local", "remote"],
-                       default="local",
-                       help="where points execute: local processes "
-                            "(default) or remote 'repro serve' "
-                            "endpoints")
     sweep.add_argument("--endpoint", action="append", default=None,
                        metavar="URL",
-                       help="service endpoint for --backend remote "
-                            "(repeat for several)")
+                       help="run points on this 'repro serve' "
+                            "coordinator instead of locally; add "
+                            "machines with 'repro worker --connect'")
     _add_orchestrator_args(sweep)
 
     bench = sub.add_parser(
@@ -296,8 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "pure coordinator, only 'repro worker' "
                             "processes drain the queue")
     serve.add_argument("--per-tenant", type=int, default=None,
-                       help="max concurrent executions per tenant "
-                            "(default: all workers)")
+                       help="max concurrent executions per tenant, "
+                            "threads and claims together (default: "
+                            "no cap)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="queued executions before 429 backpressure")
     serve.add_argument("--sim-workers", type=int, default=1,
@@ -458,7 +456,9 @@ def _add_orchestrator_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="simulation worker processes (1 = inline)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-point timeout in seconds (pool mode)")
+                        help="per-point timeout in seconds (every "
+                             "concurrent backend; inline runs ignore "
+                             "it)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="persist results under DIR; reruns resume "
                              "from it instead of re-simulating")
@@ -637,17 +637,17 @@ def _figure_subset(args) -> Optional[List[str]]:
 
 def _sweep_backend(args):
     """Build the executor backend the sweep flags ask for (or None)."""
-    backend_name = getattr(args, "backend", "local")
+    endpoints = getattr(args, "endpoint", None) or []
+    if len(endpoints) > 1:
+        raise SystemExit(
+            "sweep: --endpoint takes one coordinator URL; add machines "
+            "by running 'repro worker --connect URL' against it"
+        )
     shard = getattr(args, "shard", None)
     inner = None
-    if backend_name == "remote":
+    if endpoints:
         from repro.orchestrator import RemoteExecutor
-        endpoints = getattr(args, "endpoint", None)
-        if not endpoints:
-            raise SystemExit(
-                "sweep: --backend remote needs at least one --endpoint"
-            )
-        inner = RemoteExecutor(endpoints)
+        inner = RemoteExecutor(endpoints[0])
     if shard is not None:
         from repro.orchestrator import ShardedExecutor
         return ShardedExecutor(shard[0], shard[1], inner)

@@ -1,7 +1,7 @@
 """Parallel sweep orchestration: declarative grids of experiment
 points executed over pluggable backends (inline, process pool,
-coordinator-free shards, remote service endpoints), resumable via the
-persistent result store."""
+coordinator-free shards, one remote service coordinator), resumable
+via the persistent result store."""
 
 from repro.orchestrator.catalog import FIGURE_SWEEPS, SWEEPABLE, figure_sweep
 from repro.orchestrator.executors import (

@@ -18,15 +18,13 @@ suite in ``tests/test_executors.py``:
   execution to an inner backend. N hosts each run one shard into the
   same (shared or later-merged) atomic ResultStore; a plain unsharded
   re-run on any host is the merge/straggler pass;
-* :class:`RemoteExecutor` -- drives one or more ``repro serve``
-  endpoints through :class:`~repro.service.client.ServiceClient`:
-  uncached points become single-point jobs, 429 backpressure surfaces
-  as :class:`Backpressure`, progress streams back into the local
-  reporter, and stragglers are work-stolen by speculatively
-  resubmitting to an idle endpoint.
+* :class:`RemoteExecutor` -- a thin client of one ``repro serve``
+  coordinator: uncached points become single-point jobs that the
+  coordinator and its ``repro worker --connect`` fleet drain, and 429
+  backpressure surfaces as :class:`Backpressure`.
 
 Backends raise :class:`BackendError` when their transport is gone
-(pool unbuildable, every endpoint down); the orchestrator responds
+(pool unbuildable, coordinator down); the orchestrator responds
 with its restart-then-degrade-to-inline ladder, so a sweep always
 terminates with an honest report.
 """
@@ -91,7 +89,7 @@ class Completion:
     """One finished submission, successful or not.
 
     ``lost=True`` means the execution substrate itself failed (worker
-    process died, endpoint unreachable with no replica) -- the
+    process died, coordinator unreachable) -- the
     orchestrator re-queues everything in flight and restarts the
     backend, exactly the old BrokenProcessPool path.
     """
@@ -143,7 +141,7 @@ class ExecutorBackend:
     capacity = 1
     #: True = sleep with exponential backoff before re-running a
     #: retried point (the historical inline behaviour; pools and
-    #: remote endpoints reorder instead of sleeping).
+    #: the remote coordinator reorder instead of sleeping).
     retry_backoff = False
     #: ``"i/N"`` when the backend partitions work, else None.
     shard_spec: Optional[str] = None
@@ -419,108 +417,68 @@ class ShardedExecutor(ExecutorBackend):
 
 
 # ----------------------------------------------------------------------
-# Remote service endpoints.
+# Remote coordinator.
 # ----------------------------------------------------------------------
 
-
-class _RemoteJob:
-    """Executor-side state for one in-flight point (plus its spare)."""
-
-    __slots__ = ("key", "label", "attempts", "submitted_at",
-                 "last_retried", "stolen")
-
-    def __init__(self, key: RunKey, label: str) -> None:
-        self.key = key
-        self.label = label
-        #: Live (endpoint_index, job_id) submissions, primary first.
-        self.attempts: List = []
-        self.submitted_at = time.monotonic()
-        self.last_retried = 0
-        self.stolen = False
+#: Coordinator job states that are still in flight.
+_LIVE_STATES = ("queued", "running")
 
 
 class RemoteExecutor(ExecutorBackend):
-    """Farms points out to ``repro serve`` endpoints as one-point jobs.
+    """A thin client of one ``repro serve`` coordinator.
 
-    * endpoint selection: least-loaded live endpoint per submission;
-    * settings safety: refuses to start against an endpoint whose
+    Each uncached point becomes a one-point job. The coordinator's own
+    threads and any ``repro worker --connect`` processes drain its
+    queue; lease expiry there already balances load and requeues the
+    points of a dead worker, so this client keeps no liveness state:
+
+    * settings safety: refuses to start against a coordinator whose
       advertised runner settings (``GET /stats`` → ``settings``) differ
       from the local runner's -- mismatched settings would silently
       produce different fingerprints on either side;
-    * backpressure: HTTP 429 surfaces as :class:`Backpressure` with the
-      server's Retry-After, pausing submissions without charging the
-      point an attempt;
-    * fault isolation: an unreachable endpoint is marked dead and its
-      points come back as retriable errors -- they re-submit to the
-      surviving endpoints; only when *every* endpoint is gone does the
-      backend raise :class:`BackendError` (restart re-probes, then the
-      orchestrator degrades to inline);
-    * work stealing: a point in flight longer than ``steal_after``
-      seconds is speculatively resubmitted to an idle second endpoint;
-      the first terminal copy wins and the loser is cancelled.
+    * in-flight window: ``capacity`` is the coordinator's advertised
+      ``queue_limit``; beyond it, HTTP 429 surfaces as
+      :class:`Backpressure` with the server's Retry-After;
+    * a lost connection comes back as a ``lost`` completion, so the
+      orchestrator's restart re-probes the coordinator and, after
+      ``max_pool_restarts``, degrades to inline.
 
-    Results come back through the wire codec and are published into the
-    local runner's store, so a remote sweep is resumable and
-    bit-identical to a local one (the store's save-time equality check
-    enforces exactly that).
+    One poll tick costs one ``GET /jobs`` plus one result fetch per
+    finished point. Results come back through the wire codec and are
+    published into the local runner's store, so a remote sweep is
+    resumable and bit-identical to a local one (the store's save-time
+    equality check enforces exactly that).
     """
 
     name = "remote"
-    retry_backoff = False
 
-    def __init__(self, endpoints: Sequence[str],
-                 capacity: Optional[int] = None,
-                 tenant: str = "sweep",
-                 request_timeout: float = 30.0,
-                 steal_after: Optional[float] = 30.0,
-                 poll_interval: float = 0.2) -> None:
-        if not endpoints:
-            raise ValueError("RemoteExecutor needs at least one endpoint")
-        self.endpoints = [url.rstrip("/") for url in endpoints]
-        self._capacity = capacity
-        self.tenant = tenant
-        self.request_timeout = request_timeout
-        self.steal_after = steal_after
+    def __init__(self, url: str, poll_interval: float = 0.2) -> None:
+        if not url:
+            raise ValueError("RemoteExecutor needs a coordinator URL")
+        self.url = url.rstrip("/")
         self.poll_interval = poll_interval
-        self._clients: List = []
-        self._alive: List[bool] = []
-        self._jobs: Dict[object, _RemoteJob] = {}
-        self._handle_seq = 0
-
-    # -- lifecycle ------------------------------------------------------
+        self._client = None
+        #: In-flight coordinator job id (the handle) -> its point.
+        self._jobs: Dict[str, RunKey] = {}
 
     def start(self) -> None:
         # Lazy import: repro.service imports the orchestrator package,
         # so importing it at module scope would be circular.
         from repro.service.client import ServiceClient
 
-        self._clients = [ServiceClient(url, timeout=self.request_timeout)
-                         for url in self.endpoints]
-        self._alive = [False] * len(self._clients)
+        self._client = ServiceClient(self.url)
+        try:
+            stats = self._client.stats()
+        except Exception as exc:  # noqa: BLE001 -- coordinator down
+            raise BackendError(f"coordinator {self.url}: {exc}") from None
         local = self.orchestrator.runner.cache_settings()
-        problems = []
-        for index, client in enumerate(self._clients):
-            try:
-                stats = client.stats()
-            except Exception as exc:  # noqa: BLE001 -- endpoint down
-                problems.append(f"{self.endpoints[index]}: {exc}")
-                continue
-            remote = stats.get("settings")
-            if remote is not None and dict(remote) != dict(local):
-                raise BackendError(
-                    f"endpoint {self.endpoints[index]} runs settings "
-                    f"{remote}, local runner has {local}; results would "
-                    "not be comparable"
-                )
-            self._alive[index] = True
-        if not any(self._alive):
+        remote = stats.get("settings")
+        if remote is not None and dict(remote) != dict(local):
             raise BackendError(
-                "no live endpoints: " + "; ".join(problems)
+                f"coordinator {self.url} runs settings {remote}, local "
+                f"runner has {local}; results would not be comparable"
             )
-        if self._capacity is None:
-            self.capacity = 2 * sum(self._alive)
-        else:
-            self.capacity = max(1, self._capacity)
+        self.capacity = max(1, int(stats.get("queue_limit") or 1))
 
     def restart(self) -> bool:
         self._jobs.clear()
@@ -530,212 +488,92 @@ class RemoteExecutor(ExecutorBackend):
             return False
         return True
 
-    def cancel(self) -> None:
-        for rjob in self._jobs.values():
-            self._cancel_copies(rjob.attempts)
-        self._jobs.clear()
+    def submit(self, key: RunKey, label: Optional[str] = None) -> object:
+        from http.client import HTTPException
 
-    def close(self) -> None:
-        self.cancel()
-
-    # -- submission -----------------------------------------------------
-
-    def _inflight_on(self, index: int) -> int:
-        return sum(1 for rjob in self._jobs.values()
-                   for (idx, _) in rjob.attempts if idx == index)
-
-    def _pick_endpoint(self, exclude: Sequence[int] = ()) -> Optional[int]:
-        candidates = [index for index, alive in enumerate(self._alive)
-                      if alive and index not in exclude]
-        if not candidates:
-            return None
-        return min(candidates, key=self._inflight_on)
-
-    def _submit_to(self, index: int, key: RunKey, label: str) -> str:
-        """One point, one endpoint; returns the remote job id."""
         from repro.service.client import ServiceError
 
+        label = label or key.describe()
         try:
-            job = self._clients[index].submit(
-                points=[(label, key)], tenant=self.tenant, name=label,
-            )
+            job = self._client.submit(points=[(label, key)],
+                                      tenant="sweep", name=label)
         except ServiceError as exc:
             if exc.status == 429:
                 raise Backpressure(str(exc), exc.retry_after or 5.0)
             raise BackendError(
-                f"{self.endpoints[index]} rejected {label!r}: {exc}"
+                f"{self.url} rejected {label!r}: {exc}"
             ) from None
-        except OSError as exc:
-            self._alive[index] = False
-            self.orchestrator.progress.note(
-                f"endpoint {self.endpoints[index]} unreachable ({exc})"
-            )
-            raise ConnectionError(str(exc)) from None
+        except (OSError, HTTPException) as exc:
+            raise BackendError(f"coordinator {self.url}: {exc}") from None
+        self._jobs[job["id"]] = key
         return job["id"]
 
-    def submit(self, key: RunKey, label: Optional[str] = None) -> object:
-        label = label or key.describe()
-        while True:
-            index = self._pick_endpoint()
-            if index is None:
-                raise BackendError("all service endpoints are down")
-            try:
-                job_id = self._submit_to(index, key, label)
-            except ConnectionError:
-                continue  # endpoint just died; try the next one
-            rjob = _RemoteJob(key, label)
-            rjob.attempts.append((index, job_id))
-            self._handle_seq += 1
-            handle = self._handle_seq
-            self._jobs[handle] = rjob
-            return handle
-
-    # -- polling --------------------------------------------------------
-
     def poll(self, timeout: float) -> List[Completion]:
+        from http.client import HTTPException
+
+        from repro.service.client import ServiceError
+
         deadline = time.monotonic() + timeout
-        while True:
+        while self._jobs:
             completions: List[Completion] = []
-            for handle, rjob in list(self._jobs.items()):
-                outcome = self._check(handle, rjob)
-                if outcome is not None:
-                    completions.append(outcome)
-                    del self._jobs[handle]
+            try:
+                states = {job["id"]: job["state"]
+                          for job in self._client.jobs()}
+                for job_id in list(self._jobs):
+                    state = states.get(job_id)
+                    if state not in _LIVE_STATES:
+                        completions.append(self._outcome(job_id, state))
+                        del self._jobs[job_id]
+            except (OSError, HTTPException, ServiceError) as exc:
+                job_id, key = next(iter(self._jobs.items()))
+                # The orchestrator requeues everything in flight.
+                self._jobs.clear()
+                completions.append(Completion(
+                    job_id, key, error=f"coordinator {self.url}: {exc}",
+                    lost=True,
+                ))
             if completions:
                 return completions
-            self._maybe_steal()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return []
+                break
             time.sleep(min(self.poll_interval, remaining))
+        return []
 
-    def _check(self, handle: object,
-               rjob: _RemoteJob) -> Optional[Completion]:
-        """Terminal outcome of a point, across all its live copies."""
-        from repro.service.client import ServiceError
-
-        errors: List[str] = []
-        live: List = []
-        for index, job_id in rjob.attempts:
-            if not self._alive[index]:
-                continue
-            try:
-                info = self._clients[index].job(job_id)
-            except ServiceError as exc:
-                errors.append(f"{self.endpoints[index]}: {exc}")
-                continue  # evicted/unknown job: this copy is gone
-            except OSError as exc:
-                self._alive[index] = False
-                self.orchestrator.progress.note(
-                    f"endpoint {self.endpoints[index]} unreachable "
-                    f"({exc})"
-                )
-                continue
-            self._forward_retries(rjob, info)
-            state = info.get("state")
-            if state == "done":
-                outcome = self._fetch_result(handle, rjob, index, job_id)
-                if outcome is not None:
-                    self._cancel_copies(
-                        [copy for copy in rjob.attempts
-                         if copy != (index, job_id)]
-                    )
-                    return outcome
-                errors.append(f"{self.endpoints[index]}: bad result "
-                              "payload")
-                continue
-            if state in ("failed", "cancelled"):
-                error = self._failure_message(index, job_id, state)
-                self._cancel_copies(
-                    [copy for copy in rjob.attempts
-                     if copy != (index, job_id)]
-                )
-                return Completion(handle, rjob.key, error=error)
-            live.append((index, job_id))
-        if live:
-            rjob.attempts = live
-            return None
-        # Every copy is gone (endpoints dead or jobs evicted): hand the
-        # point back as a retriable error; re-submission will pick a
-        # surviving endpoint or escalate to BackendError.
-        return Completion(
-            handle, rjob.key,
-            error="; ".join(errors) or "all copies of the point lost",
-        )
-
-    def _fetch_result(self, handle: object, rjob: _RemoteJob,
-                      index: int, job_id: str) -> Optional[Completion]:
-        from repro.service.client import ServiceError
+    def _outcome(self, job_id: str, state: Optional[str]) -> Completion:
+        """The completion of a job that left the coordinator's queue."""
         from repro.service.codec import result_from_dict
 
-        try:
-            payload = self._clients[index].result(job_id)
-        except (ServiceError, OSError):
-            return None
-        results = payload.get("results") or {}
-        for encoded in results.values():
-            result = result_from_dict(encoded)
-            if result is not None:
-                return Completion(handle, rjob.key, result=result)
-        return None
-
-    def _failure_message(self, index: int, job_id: str,
-                         state: str) -> str:
-        try:
-            payload = self._clients[index].result(job_id)
-            failures = payload.get("failures") or {}
-            if failures:
-                return "; ".join(str(err) for err in failures.values())
-        except Exception:  # noqa: BLE001 -- failure detail is optional
-            pass
-        return f"remote job {state}"
-
-    def _forward_retries(self, rjob: _RemoteJob, info: dict) -> None:
-        """Stream remote retry counts into the local reporter."""
-        retried = int((info.get("progress") or {}).get("retried") or 0)
-        while rjob.last_retried < retried:
-            rjob.last_retried += 1
-            self.orchestrator.progress.point_retried(
-                rjob.label, "remote retry", rjob.last_retried,
-            )
-
-    # -- work stealing --------------------------------------------------
-
-    def _maybe_steal(self) -> None:
-        if self.steal_after is None or sum(self._alive) < 2:
-            return
-        now = time.monotonic()
-        for rjob in self._jobs.values():
-            if rjob.stolen or now - rjob.submitted_at < self.steal_after:
-                continue
-            busy = [index for index, _ in rjob.attempts]
-            index = self._pick_endpoint(exclude=busy)
-            if index is None or self._inflight_on(index) > 0:
-                continue  # only steal onto an idle endpoint
-            try:
-                job_id = self._submit_to(index, rjob.key, rjob.label)
-            except (Backpressure, BackendError, ConnectionError):
-                continue  # stealing is strictly best-effort
-            rjob.attempts.append((index, job_id))
-            rjob.stolen = True
-            self.orchestrator.progress.note(
-                f"work-stealing: resubmitted {rjob.label!r} to "
-                f"{self.endpoints[index]}"
-            )
-
-    # -- teardown helpers ----------------------------------------------
-
-    def _cancel_copies(self, copies: Sequence) -> None:
-        for index, job_id in copies:
-            try:
-                self._clients[index].cancel(job_id)
-            except Exception:  # noqa: BLE001 -- best-effort cleanup
-                pass
+        key = self._jobs[job_id]
+        if state is None:
+            return Completion(job_id, key,
+                              error=f"coordinator forgot job {job_id}")
+        payload = self._client.result(job_id)
+        if state == "done":
+            for encoded in (payload.get("results") or {}).values():
+                result = result_from_dict(encoded)
+                if result is not None:
+                    return Completion(job_id, key, result=result)
+            return Completion(job_id, key, error="bad result payload")
+        failures = payload.get("failures") or {}
+        error = "; ".join(str(err) for err in failures.values())
+        return Completion(job_id, key, error=error or f"remote job {state}")
 
     def abandon(self, handles: Sequence[object]) -> bool:
-        for handle in handles:
-            rjob = self._jobs.pop(handle, None)
-            if rjob is not None:
-                self._cancel_copies(rjob.attempts)
+        self._cancel(handles)
         # Remote slots free immediately on cancel; no restart needed.
         return True
+
+    def cancel(self) -> None:
+        self._cancel(list(self._jobs))
+
+    def close(self) -> None:
+        self.cancel()
+
+    def _cancel(self, job_ids: Sequence[object]) -> None:
+        for job_id in job_ids:
+            self._jobs.pop(job_id, None)
+            try:
+                self._client.cancel(job_id)
+            except Exception:  # noqa: BLE001 -- best-effort cleanup
+                pass

@@ -14,8 +14,8 @@ cancellation all live here, in one generic loop, so
 :class:`~repro.orchestrator.executors.LocalExecutor` (process pool),
 :class:`~repro.orchestrator.executors.ShardedExecutor`
 (coordinator-free ``--shard i/N`` partitioning) and
-:class:`~repro.orchestrator.executors.RemoteExecutor` (PR-6 service
-endpoints) inherit identical semantics.
+:class:`~repro.orchestrator.executors.RemoteExecutor` (one ``repro
+serve`` coordinator) inherit identical semantics.
 
 Fault tolerance, in order of escalation:
 
@@ -24,10 +24,10 @@ Fault tolerance, in order of escalation:
   :class:`PointFailure` without sinking the rest of the sweep;
 * a point exceeding ``timeout`` seconds is treated the same way, and
   the backend is asked to abandon it (a pool with hung workers demands
-  a rebuild; remote endpoints just cancel the job);
-* a *lost* completion (worker killed by the OS, endpoint gone) re-queues
-  everything in flight and restarts the backend with exponential
-  backoff;
+  a rebuild; the remote backend just cancels the coordinator's job);
+* a *lost* completion (worker killed by the OS, coordinator gone)
+  re-queues everything in flight and restarts the backend with
+  exponential backoff;
 * backpressure (:class:`~repro.orchestrator.executors.Backpressure`,
   e.g. HTTP 429) pauses submissions for the advertised delay without
   charging an attempt;

@@ -18,9 +18,10 @@ runner settings) and resolves it one of three ways:
   :class:`QueueFullError` carrying a Retry-After estimate (the HTTP
   layer turns that into a 429).
 
-A fixed pool of worker threads drains the queue, at most
-``per_tenant`` executions per tenant at once so one chatty client
-cannot starve the rest. Each execution runs through a
+A fixed pool of worker threads drains the queue; an optional
+``per_tenant`` cap on concurrent executions per tenant (threads and
+claims together) keeps one chatty client from starving the rest.
+Each execution runs through a
 :class:`~repro.orchestrator.orchestrator.SweepOrchestrator`, which
 brings the existing retry/timeout/pool-rebuild machinery (and, with
 ``sim_workers > 1``, real process-pool parallelism per point).
@@ -128,7 +129,10 @@ class JobManager:
         # workers=0 is legal: a pure coordinator whose queue only
         # remote workers (repro worker) drain via the claim API.
         self.workers = max(0, workers)
-        self.per_tenant = (max(1, self.workers) if per_tenant is None
+        # per_tenant=None = no cap: local threads are already bounded
+        # by ``workers``, and claim workers must not be held to one
+        # point per tenant on a workers=0 coordinator.
+        self.per_tenant = (None if per_tenant is None
                            else max(1, per_tenant))
         self.queue_limit = max(1, queue_limit)
         self.sim_workers = max(1, sim_workers)
@@ -305,7 +309,7 @@ class JobManager:
         self._reap_expired_claims()
         for index, execution in enumerate(self._queue):
             running = self._tenant_running.get(execution.tenant, 0)
-            if running < self.per_tenant:
+            if self.per_tenant is None or running < self.per_tenant:
                 del self._queue[index]
                 return execution
         return None

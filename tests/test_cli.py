@@ -56,6 +56,34 @@ class TestParsing:
             _build_parser().parse_args(
                 ["bench-perf", "--disable", "warp_drive"])
 
+    def test_sweep_endpoint_selects_remote_backend(self):
+        from repro.cli import _build_parser, _sweep_backend
+        from repro.orchestrator import RemoteExecutor
+        args = _build_parser().parse_args(
+            ["sweep", "fig7", "--endpoint", "http://coord:8000/"])
+        backend = _sweep_backend(args)
+        assert isinstance(backend, RemoteExecutor)
+        assert backend.url == "http://coord:8000"
+
+    def test_sweep_without_endpoint_runs_locally(self):
+        from repro.cli import _build_parser, _sweep_backend
+        args = _build_parser().parse_args(["sweep", "fig7"])
+        assert _sweep_backend(args) is None
+
+    def test_sweep_rejects_second_endpoint(self):
+        from repro.cli import _build_parser, _sweep_backend
+        args = _build_parser().parse_args(
+            ["sweep", "fig7", "--endpoint", "http://a:8000",
+             "--endpoint", "http://b:8000"])
+        with pytest.raises(SystemExit, match="repro worker --connect"):
+            _sweep_backend(args)
+
+    def test_sweep_backend_flag_is_gone(self):
+        from repro.cli import _build_parser
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["sweep", "fig7", "--backend", "remote"])
+
     def test_figure_validates_name(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])

@@ -30,7 +30,7 @@ from repro.orchestrator import (
     SweepOrchestrator,
     shard_of,
 )
-from repro.service import JobManager, ServiceServer
+from repro.service import JobManager, ServiceServer, ServiceWorker
 
 from tests.test_orchestrator import (
     TINY_SWEEP_KEYS,
@@ -71,8 +71,7 @@ def backend_env(kind, store_dir, **orchestrator_kwargs):
                                      backend=ShardedExecutor(0, 1),
                                      **kwargs)
         if kind == "remote":
-            backend = RemoteExecutor([server.url], steal_after=None,
-                                     poll_interval=0.05)
+            backend = RemoteExecutor(server.url, poll_interval=0.05)
             return SweepOrchestrator(runner, workers=2, backend=backend,
                                      **kwargs)
         raise AssertionError(f"unknown backend kind {kind}")
@@ -308,7 +307,7 @@ def service(tmp_path):
 class TestRemoteExecutor:
     def test_needs_at_least_one_endpoint(self):
         with pytest.raises(ValueError):
-            RemoteExecutor([])
+            RemoteExecutor("")
 
     def test_settings_mismatch_degrades_to_inline(self, tmp_path):
         manager = JobManager(
@@ -317,7 +316,7 @@ class TestRemoteExecutor:
         )
         server = ServiceServer(manager, port=0).start()
         try:
-            backend = RemoteExecutor([server.url], steal_after=None)
+            backend = RemoteExecutor(server.url)
             orchestrator = SweepOrchestrator(
                 make_runner(tmp_path / "local"), workers=1,
                 backend=backend, backoff=0.0,
@@ -333,18 +332,74 @@ class TestRemoteExecutor:
         assert report.mode == "inline"
         assert report.simulated == 1
 
-    def test_dead_endpoint_is_skipped(self, service, tmp_path):
-        backend = RemoteExecutor(
-            ["http://127.0.0.1:9", service.url],
-            steal_after=None, poll_interval=0.05, request_timeout=2.0,
-        )
+    def test_dead_endpoint_is_skipped(self, tmp_path):
+        # An unreachable coordinator cannot start; the sweep runs
+        # inline instead of failing.
+        backend = RemoteExecutor("http://127.0.0.1:9", poll_interval=0.05)
         orchestrator = SweepOrchestrator(make_runner(tmp_path / "local"),
                                          workers=2, backend=backend,
                                          backoff=0.0)
         report = orchestrator.run(tiny_sweep())
         assert report.ok
-        assert report.mode == "remote"
+        assert report.mode == "inline"
         assert set(report.results) == set(TINY_SWEEP_KEYS)
+
+    def test_capacity_is_coordinator_queue_limit(self, tmp_path):
+        manager = JobManager(make_runner(tmp_path / "server"), workers=0,
+                             queue_limit=5)
+        server = ServiceServer(manager, port=0).start()
+        try:
+            backend = RemoteExecutor(server.url)
+            backend.bind(SweepOrchestrator(make_runner(tmp_path / "local"),
+                                           backend=backend))
+            backend.start()
+            backend.close()
+        finally:
+            server.stop()
+        assert backend.capacity == 5
+
+    def test_coordinator_lost_mid_sweep_degrades_to_inline(self, tmp_path):
+        # A workers=0 coordinator whose only worker quits after one
+        # point; the coordinator itself stops once that point lands.
+        # The next poll finds it gone, restart fails to re-probe it,
+        # and the other points finish inline.
+        manager = JobManager(make_runner(tmp_path / "server"), workers=0,
+                             backoff=0.0)
+        server = ServiceServer(manager, port=0).start()
+        worker = ServiceWorker.from_service(
+            server.url, base_gpu=tiny_gpu(), poll_seconds=0.05,
+        )
+        thread = threading.Thread(target=worker.run,
+                                  kwargs={"max_points": 1}, daemon=True)
+        stopped = threading.Event()
+
+        def stop_coordinator(event):
+            if event["type"] == "point_done" and not stopped.is_set():
+                stopped.set()
+                server.stop()
+
+        try:
+            thread.start()
+            orchestrator = SweepOrchestrator(
+                make_runner(tmp_path / "local"), workers=2,
+                backend=RemoteExecutor(server.url, poll_interval=0.05),
+                backoff=0.0,
+                progress=ProgressReporter(stream=None,
+                                          on_event=stop_coordinator),
+            )
+            report = orchestrator.run(tiny_sweep())
+        finally:
+            if not stopped.is_set():
+                server.stop()
+            thread.join(timeout=5)
+        assert report.ok
+        assert report.mode == "remote+inline"
+        assert worker.completed == 1
+        assert report.simulated == 3
+        reference = serial_reference()
+        for key, expected in reference.items():
+            assert dataclasses.asdict(report.results[key]) == \
+                dataclasses.asdict(expected)
 
     def test_backpressured_service_still_completes(self, tmp_path):
         manager = JobManager(make_runner(tmp_path / "server"),
@@ -352,8 +407,7 @@ class TestRemoteExecutor:
                              queue_limit=1)
         server = ServiceServer(manager, port=0).start()
         try:
-            backend = RemoteExecutor([server.url], steal_after=None,
-                                     poll_interval=0.05)
+            backend = RemoteExecutor(server.url, poll_interval=0.05)
             orchestrator = SweepOrchestrator(
                 make_runner(tmp_path / "local"), workers=2,
                 backend=backend, backoff=0.0,
@@ -370,8 +424,7 @@ class TestRemoteExecutor:
         # each result, and the store's save-time equality check proves
         # the wire round-trip is bitwise faithful.
         store_dir = tmp_path / "server"
-        backend = RemoteExecutor([service.url], steal_after=None,
-                                 poll_interval=0.05)
+        backend = RemoteExecutor(service.url, poll_interval=0.05)
         orchestrator = SweepOrchestrator(make_runner(store_dir),
                                          workers=2, backend=backend,
                                          backoff=0.0)

@@ -82,6 +82,20 @@ class TestManagerClaims:
         assert manager.counters["points_claimed"] == 1
         assert manager.counters["claims_completed"] == 1
 
+    def test_default_per_tenant_leases_every_point(self,
+                                                   coordinator_factory):
+        # No per_tenant given: one tenant's queued points all go out
+        # at once, one per worker, instead of one at a time.
+        manager = coordinator_factory()
+        job = manager.submit([(None, RunKey("KMEANS")),
+                              (None, RunKey("AN"))])
+        first = manager.claim("w1")
+        second = manager.claim("w2")
+        assert first is not None and second is not None
+        assert {first.fingerprint, second.fingerprint} == \
+            set(job.fingerprints.values())
+        assert manager.stats()["claims"]["workers"] == ["w1", "w2"]
+
     def test_fail_claim_requeues_then_fails(self, coordinator_factory):
         manager = coordinator_factory(retries=1)
         job, fingerprint = _submit_one(manager)
@@ -273,8 +287,7 @@ class TestDistributedAcceptance:
             for thread in threads:
                 thread.start()
             local_store = tmp_path / "local"
-            backend = RemoteExecutor([server.url], steal_after=None,
-                                     poll_interval=0.05)
+            backend = RemoteExecutor(server.url, poll_interval=0.05)
             orchestrator = SweepOrchestrator(make_runner(local_store),
                                              workers=2, backend=backend,
                                              backoff=0.0)
