@@ -30,6 +30,7 @@ import pytest
 import repro.sim.request as request_mod
 from repro.config.presets import small_config
 from repro.config.topology import (
+    AddressMapKind,
     Architecture,
     PagePolicy,
     ReplicationPolicy,
@@ -72,6 +73,29 @@ POINTS: Dict[str, Tuple[RunKey, Optional[int]]] = {
     "an-nuba-mdr": (
         RunKey("AN", Architecture.NUBA,
                replication=ReplicationPolicy.MDR), None),
+    # Page migration: pages move between channels mid-run.
+    "bt-nuba-migration": (
+        RunKey("BT", Architecture.NUBA,
+               page_policy=PagePolicy.MIGRATION), None),
+    # Page replication: a write collapses a replica (TLB shootdown).
+    "kmeans-nuba-page-replication": (
+        RunKey("KMEANS", Architecture.NUBA,
+               page_policy=PagePolicy.PAGE_REPLICATION), None),
+    # MDR flipping replication on and off across two kernels.
+    "bp-nuba-mdr": (
+        RunKey("BP", Architecture.NUBA,
+               replication=ReplicationPolicy.MDR), None),
+    # Every read-only shared line replicated in every partition.
+    "an-nuba-full-rep": (
+        RunKey("AN", Architecture.NUBA,
+               replication=ReplicationPolicy.FULL), None),
+    # PAE randomised channel bits (the PAEMap route memo).
+    "kmeans-mem-side-uba-pae": (
+        RunKey("KMEANS", Architecture.MEM_SIDE_UBA,
+               address_map=AddressMapKind.PAE), None),
+    "wc-nuba-norep": (
+        RunKey("WC", Architecture.NUBA,
+               replication=ReplicationPolicy.NONE), None),
 }
 
 #: SHA-256 over the canonical JSON of each point's result and stats.
@@ -94,11 +118,26 @@ GOLDEN = {
         "4b73ab19af89176e5fef5cef9de44741d924abaf23ae29f556c60a86e8ba9415",
     "an-nuba-mdr":
         "e7f3aeebf44af760d38286f91a553a9aa6ec3eea39ccb678c00a8208a06e0268",
+    "bt-nuba-migration":
+        "b0d54cb7c94354f85b6d67f5bd5818234537e13d488a755e65eaabaf2a00e521",
+    "kmeans-nuba-page-replication":
+        "0e6bb1a70b97bfca5fb3bd15af62d1d106513d4728d4b311b65e7f2b846b19ac",
+    "bp-nuba-mdr":
+        "a0a5ada1f93b0f438c12bbcf5d7bc6430a7cf6c31ce559311cd34757b11013f6",
+    "an-nuba-full-rep":
+        "103b8ecc401652f1497a886f14ccef136a086142b2ca6dbd53c0c1cf55b95444",
+    "kmeans-mem-side-uba-pae":
+        "cb869c1eea026071c5d7115e0d172bd5dcb4935083817b568b332795874642ae",
+    "wc-nuba-norep":
+        "4202393c90b51204fb1543fc10c2489222ce5e81b2d4129d3d1cae22c24e347d",
 }
 
 
-def digest(name: str) -> str:
-    """Simulate one named point from a clean state; return its digest."""
+def simulate(name: str):
+    """Simulate one named point from a clean state.
+
+    Returns ``(system, result)``.
+    """
     key, window = POINTS[name]
     request_mod._req_ids = itertools.count()
     fastlane.reset()
@@ -109,6 +148,12 @@ def digest(name: str) -> str:
     system = runner.build(key)
     workload = get_benchmark(key.benchmark).instantiate(system.gpu)
     result = system.run_workload(workload, max_cycles=runner.max_cycles)
+    return system, result
+
+
+def digest(name: str) -> str:
+    """Simulate one named point from a clean state; return its digest."""
+    system, result = simulate(name)
     payload = {
         "result": asdict(result),
         "stats": system.stats_snapshot().as_dict(),
@@ -120,6 +165,17 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_digest_matches_golden(name: str) -> None:
     assert digest(name) == GOLDEN[name]
+
+
+def test_mechanism_points_exercise_their_mechanism() -> None:
+    """A point pinned for a mechanism must actually run that mechanism;
+    otherwise its digest would pin a no-op."""
+    system, _ = simulate("bt-nuba-migration")
+    assert system.migration.migrations > 0
+    system, _ = simulate("kmeans-nuba-page-replication")
+    assert system.driver.collapses > 0
+    system, _ = simulate("bp-nuba-mdr")
+    assert system.mdr.replication_epochs > 0
 
 
 def test_table_covers_every_point() -> None:
