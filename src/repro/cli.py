@@ -246,15 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --compare: always exit 0, even when "
                             "points regressed beyond --threshold "
                             "(inspection-only runs)")
-    from repro.sim.fastlane import FastLaneFlags
-    bench.add_argument("--disable", nargs="+", default=None,
-                       metavar="FLAG",
-                       choices=sorted(FastLaneFlags.__slots__),
-                       help="turn the named fast-lane flags off for "
-                            "this measurement (A/B one busy-path "
-                            "optimisation; the baseline comparison is "
-                            "skipped because the committed baseline "
-                            "was measured with every flag on)")
     bench.add_argument("--strict", action="store_true",
                        help="disable quiescence skipping (A/B runs; "
                             "compared only against a strict baseline)")
@@ -767,55 +758,36 @@ def _cmd_bench_perf(args) -> int:
     def progress(name: str) -> None:
         print(f"bench-perf: measuring {name} ...", file=sys.stderr)
 
-    from repro.sim import fastlane
-
-    disabled = sorted(set(args.disable)) if args.disable else []
-    saved_flags = fastlane.FLAGS.snapshot()
-    try:
-        if disabled:
-            for name in disabled:
-                setattr(fastlane.FLAGS, name, False)
-            fastlane.reset()
-        payload = benchperf.run_matrix(
-            quick=args.quick, repeats=args.repeats, strict=args.strict,
-            progress=progress,
+    payload = benchperf.run_matrix(
+        quick=args.quick, repeats=args.repeats, strict=args.strict,
+        progress=progress,
+    )
+    rows = [
+        [name, point["cycles"], f"{point['wall_seconds']:.2f}",
+         f"{point['cycles_per_second']:.0f}",
+         f"{point['cycles_per_second_median']:.0f}",
+         f"{point['wall_seconds_stdev']:.3f}",
+         point["ticks_executed"], point["ticks_elided"]]
+        for name, point in payload["points"].items()
+    ]
+    print(format_table(
+        ["point", "cycles", "wall s", "cycles/s",
+         "median c/s", "sd s", "ticks", "elided"], rows,
+    ))
+    benchperf.write_report(args.out, payload)
+    print(f"wrote {args.out}")
+    if args.profile:
+        keys = (benchperf.QUICK_MATRIX if args.quick
+                else benchperf.MATRIX)
+        print("bench-perf: profiling ...", file=sys.stderr)
+        artifact = benchperf.profile_matrix(
+            keys, top=args.profile_top, strict=args.strict,
         )
-        if disabled:
-            payload["fastlane_disabled"] = disabled
-        rows = [
-            [name, point["cycles"], f"{point['wall_seconds']:.2f}",
-             f"{point['cycles_per_second']:.0f}",
-             f"{point['cycles_per_second_median']:.0f}",
-             f"{point['wall_seconds_stdev']:.3f}",
-             point["ticks_executed"], point["ticks_elided"]]
-            for name, point in payload["points"].items()
-        ]
-        print(format_table(
-            ["point", "cycles", "wall s", "cycles/s",
-             "median c/s", "sd s", "ticks", "elided"], rows,
-        ))
-        benchperf.write_report(args.out, payload)
-        print(f"wrote {args.out}")
-        if args.profile:
-            keys = (benchperf.QUICK_MATRIX if args.quick
-                    else benchperf.MATRIX)
-            print("bench-perf: profiling ...", file=sys.stderr)
-            artifact = benchperf.profile_matrix(
-                keys, top=args.profile_top, strict=args.strict,
-            )
-            root, _ = os.path.splitext(args.out)
-            profile_path = f"{root}_profile.txt"
-            with open(profile_path, "w") as handle:
-                handle.write(artifact)
-            print(f"wrote {profile_path}")
-    finally:
-        fastlane.FLAGS.restore(saved_flags)
-        if disabled:
-            fastlane.reset()
-    if disabled:
-        print(f"fast-lane flags disabled ({', '.join(disabled)}); "
-              f"baseline comparison skipped")
-        return 0
+        root, _ = os.path.splitext(args.out)
+        profile_path = f"{root}_profile.txt"
+        with open(profile_path, "w") as handle:
+            handle.write(artifact)
+        print(f"wrote {profile_path}")
     if args.update_baseline:
         benchperf.write_report(args.baseline, payload)
         print(f"updated baseline {args.baseline}")

@@ -38,7 +38,7 @@ from repro.workloads.suite import get_benchmark
 #: architecture points -- UBA (long quiescent drain phases), plain
 #: saturated NUBA (busy-path floor without replication machinery) and
 #: NUBA+MDR (busy path plus the sampler/epoch machinery).  The two
-#: saturated NUBA columns are what the fast-lane optimisations
+#: saturated NUBA columns are what the busy-path caches
 #: (docs/PERFORMANCE.md, "Busy path") are measured against.
 MATRIX: Tuple[RunKey, ...] = (
     RunKey("KMEANS", Architecture.MEM_SIDE_UBA,

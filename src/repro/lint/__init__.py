@@ -1,21 +1,19 @@
 """repro lint: AST-based invariant checkers for the simulator's contracts.
 
-The quiescence engine (PR 4) and the fastlane (PR 5) rest on invariants
-that plain tests only catch after the fact:
+The quiescence engine and the busy-path caches rest on invariants that
+plain tests only catch after the fact:
 
 * every push into a component-owned ingress queue must ``wake()`` the
   component (a missing wake is a lost-wakeup that silently stalls a
   sleeping component),
-* every ``fastlane.FLAGS``-gated fast path must leave a slow path and
-  register its module-level memos with :func:`fastlane.register_cache`,
 * every tracer emit must sit behind an ``enabled`` guard (the
-  <5 %-overhead-when-disabled bar from PR 2),
+  <5 %-overhead-when-disabled bar of docs/TRACING.md),
 * simulation code must stay deterministic (no wall clocks, no unseeded
   randomness, no ``id()``/set-order arbitration),
 * hot classes must declare ``__slots__`` and keep their attribute set
   fixed after ``__init__``.
 
-``repro lint`` encodes these contracts as five checkers over the ``ast``
+``repro lint`` encodes these contracts as four checkers over the ``ast``
 of ``src/repro/**``.  See docs/LINT.md for the catalog, the suppression
 format, and how to add a checker.
 """

@@ -14,7 +14,7 @@ Canonical chain grammar::
     self.attr[]        subscript into an instance attribute
     G.name             module-level global ``name``
     @name              unresolved local / parameter
-    fastlane.FLAGS.x   absolute chain rooted at an imported module
+    G.time.time        chain rooted at an imported module (a global)
 
 Everything here targets Python 3.9+ (CI lints on 3.9).
 """
@@ -202,17 +202,6 @@ class LintModule:
                 for alias in node.names:
                     names.add(alias.asname or alias.name.split(".")[0])
         return names
-
-    def imported_from(self, module_suffix: str) -> Dict[str, str]:
-        """Map local name -> original name for ``from X import ...`` where
-        X ends with *module_suffix* (e.g. ``"fastlane"``)."""
-        out: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.split(".")[-1] == module_suffix:
-                    for alias in node.names:
-                        out[alias.asname or alias.name] = alias.name
-        return out
 
 
 class Resolver:

@@ -1,6 +1,6 @@
 """H001-H003 -- hot-class discipline.
 
-Classes on the fastlane hot path (registered in
+Classes on the busy path (registered in
 ``repro.sim.fastlane.HOT_CLASSES``) are instantiated or touched millions
 of times per run.  They must:
 
@@ -15,9 +15,9 @@ of times per run.  They must:
 **H003** flags stale registry entries (module or class no longer
 exists) so the registry can't silently rot.
 
-The registry lives next to the flags in ``fastlane.py`` on purpose:
-adding a flag-gated optimization and registering the classes it touches
-happen in the same diff.
+The registry lives next to the cache registry in ``fastlane.py`` on
+purpose: adding a busy-path cache and registering the classes it
+touches happen in the same diff.
 """
 
 from __future__ import annotations

@@ -167,15 +167,15 @@ class MemoryRequest:
 
 
 # ----------------------------------------------------------------------
-# Request freelist (fast lane: ``fastlane.FLAGS.request_pool``).
+# Request freelist (a busy-path cache, docs/PERFORMANCE.md).
 #
 # Requests are the highest-churn objects in the model (one per L1 miss,
 # millions per run); recycling them at retirement removes the
 # allocation/GC pressure.  Equivalence argument: ``acquire`` resets
 # every field to exactly what the dataclass constructor would produce
 # and draws a fresh ``req_id`` from the *shared* counter, so the id
-# stream -- which appears in tracer events -- is identical whether or
-# not the pool is on.  Release happens only at retirement points where
+# stream -- which appears in tracer events -- is the one the constructor
+# alone would produce.  Release happens only at retirement points where
 # no component holds a reference any more (SM load/atomic completion,
 # LLC store write-validate, MC writeback scheduling).
 # ----------------------------------------------------------------------
@@ -220,9 +220,9 @@ def acquire(kind: AccessKind, line_addr: int, sm_id: int,
 
 
 def release(request: MemoryRequest) -> None:
-    """Return a retired request to the pool (no-op when the fast lane
-    is off or the pool is full)."""
-    if fastlane.FLAGS.request_pool and len(_pool) < _POOL_LIMIT:
+    """Return a retired request to the pool (no-op when the pool is
+    full)."""
+    if len(_pool) < _POOL_LIMIT:
         request.on_complete = None
         _pool.append(request)
 

@@ -446,7 +446,7 @@ class SMCore(Component):
         # except that ``issue_cycle``/``on_complete`` skip the default
         # store because they are assigned real values right away.  The
         # pool list and id counter are re-read from the module each
-        # call so fastlane resets and test reseeds stay visible.
+        # call so `fastlane.reset()` and test reseeds stay visible.
         pool = _request_mod._pool
         req_ids = _request_mod._req_ids
         for vpage, line_in_page in instr.targets:

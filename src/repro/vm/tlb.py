@@ -24,7 +24,6 @@ from collections import OrderedDict
 from typing import Dict, Tuple
 
 from repro.config.gpu import TLBConfig
-from repro.sim import fastlane
 from repro.vm.walker import WalkerPool
 
 
@@ -66,48 +65,24 @@ class TranslationProvider:
 
 
 class L1TLB:
-    """Per-SM fully-associative TLB with LRU replacement.
+    """Per-SM fully-associative TLB with LRU replacement."""
 
-    Fast lane (``fastlane.FLAGS.tlb_mru``): a one-entry MRU front
-    cache.  The invariant is *MRU key == last (most recent) entry of
-    the LRU OrderedDict*, maintained on every hit and fill and cleared
-    on flush.  Probing the MRU key is therefore order-neutral: the
-    strict path's ``move_to_end`` would be a no-op, so skipping the
-    ``get``/``move_to_end`` pair leaves the LRU order -- and every
-    future eviction -- bit-identical.  Hit accounting stays exact
-    (``hits`` is bumped immediately on the fast path, never deferred)
-    because stats snapshots and timelines read ``hits``/``misses``
-    mid-run.
-    """
-
-    __slots__ = ("entries", "_map", "hits", "misses",
-                 "_mru_key", "_mru_frame", "_use_mru")
+    __slots__ = ("entries", "_map", "hits", "misses")
 
     def __init__(self, entries: int) -> None:
         self.entries = entries
         self._map: "OrderedDict[int, int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: MRU front cache; ``None`` key means empty (keys are ints).
-        self._mru_key: object = None
-        self._mru_frame = -1
-        self._use_mru = fastlane.FLAGS.tlb_mru
 
     def lookup(self, key: int) -> Tuple[bool, int]:
         """Probe the TLB; (hit, frame)."""
-        if key == self._mru_key:
-            # Already the last entry: move_to_end would be a no-op.
-            self.hits += 1
-            return True, self._mru_frame
         frame = self._map.get(key)
         if frame is None:
             self.misses += 1
             return False, -1
         self._map.move_to_end(key)
         self.hits += 1
-        if self._use_mru:
-            self._mru_key = key
-            self._mru_frame = frame
         return True, frame
 
     def fill(self, key: int, frame: int) -> None:
@@ -119,15 +94,10 @@ class L1TLB:
         if tlb_map.pop(key, None) is None and len(tlb_map) >= self.entries:
             tlb_map.popitem(last=False)
         tlb_map[key] = frame
-        if self._use_mru:
-            self._mru_key = key
-            self._mru_frame = frame
 
     def flush(self) -> None:
-        """Invalidate every entry (including the MRU front cache)."""
+        """Invalidate every entry."""
         self._map.clear()
-        self._mru_key = None
-        self._mru_frame = -1
 
     @property
     def hit_rate(self) -> float:
@@ -214,17 +184,11 @@ class MMU:
         #: per-call ``translation_key`` callback.
         self._key_params = provider.translation_key_params(sm_id)
 
-    def _check_shootdown(self) -> None:
-        """Coarse TLB shootdown: flush on any translation-generation bump
-        (page migration, Section 7.6)."""
-        if self.provider.translation_generation != self._generation:
-            self.l1.flush()
-            self.l2.flush()
-            self._generation = self.provider.translation_generation
-
     def translate(self, vpage: int, now: int) -> Tuple[int, int]:
         """Translate a virtual page; returns (ready_cycle, frame)."""
         provider = self.provider
+        # Coarse TLB shootdown: flush on any translation-generation bump
+        # (page migration and replica collapse, Section 7.6).
         if provider.translation_generation != self._generation:
             self.l1.flush()
             self.l2.flush()
@@ -235,11 +199,6 @@ class MMU:
         else:
             key = provider.translation_key(vpage, self.sm_id)
         l1 = self.l1
-        if key == l1._mru_key:
-            # Inlined MRU front-cache hit (see L1TLB): order-neutral
-            # and accounted exactly.
-            l1.hits += 1
-            return now + self._l1_latency, l1._mru_frame
         hit, frame = l1.lookup(key)
         if hit:
             return now + self._l1_latency, frame

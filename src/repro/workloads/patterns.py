@@ -73,7 +73,7 @@ class Region:
 
 
 # ----------------------------------------------------------------------
-# Instruction interning (fast lane: ``fastlane.FLAGS.intern_bodies``).
+# Instruction interning (a busy-path cache, docs/PERFORMANCE.md).
 #
 # Deterministic generators rebuild identical vectorised accesses for
 # thousands of warps (every warp of a CTA class walks the same slab
@@ -105,8 +105,7 @@ def _vaccess(kind: AccessKind, region: Region,
     if instr is None:
         targets = tuple(region.line_target(start + k) for k in range(count))
         instr = MemAccess(kind, targets, space=region.name)
-        if fastlane.FLAGS.intern_bodies:
-            _mem_interned[key] = instr
+        _mem_interned[key] = instr
     return instr
 
 
@@ -124,8 +123,7 @@ def _compute(cycles: int) -> Compute:
     instr = _compute_interned.get(cycles)
     if instr is None:
         instr = Compute(cycles)
-        if fastlane.FLAGS.intern_bodies:
-            _compute_interned[cycles] = instr
+        _compute_interned[cycles] = instr
     return instr
 
 

@@ -3,9 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config.presets import baseline_config, small_config
+from repro.config.presets import (
+    baseline_config,
+    small_config,
+    with_partition_ratio,
+)
 from repro.config.topology import AddressMapKind
-from repro.vm.address_map import FixedChannelMap, PAEMap, make_address_map
+from repro.vm.address_map import (
+    FixedChannelMap,
+    PAEMap,
+    _xor_fold,
+    make_address_map,
+)
 
 
 @pytest.fixture
@@ -116,3 +125,29 @@ class TestFactory:
         amap = make_address_map(small_config(), AddressMapKind.FIXED_CHANNEL)
         assert amap.num_channels == 8
         assert amap.slices_per_channel == 2
+
+
+class TestRouteMemo:
+    """The per-frame route/bank memos return exactly what the plain
+    ``channel_of_line`` + ``_xor_fold`` computation gives, on the first
+    (filling) query and on the second (memo hit)."""
+
+    @pytest.mark.parametrize("slices_per_channel", [1, 2])
+    @pytest.mark.parametrize("kind", list(AddressMapKind))
+    def test_memoised_route_matches_fresh_computation(
+            self, kind, slices_per_channel):
+        gpu = with_partition_ratio(small_config(), slices_per_channel)
+        amap = make_address_map(gpu, kind)
+        assert amap.slices_per_channel == slices_per_channel
+        for frame in range(512):
+            line = amap.line_addr(frame, frame % amap.lines_per_page)
+            channel = amap.channel_of_line(line)
+            bank = _xor_fold(frame >> amap.channel_bits, amap.bank_bits)
+            within = bank % slices_per_channel
+            route = (channel, channel * slices_per_channel + within)
+            for _ in range(2):
+                assert amap.route_of_line(line) == route, frame
+                assert amap.bank_of_line(line) == bank, frame
+                assert amap.slice_of_line(line) == route[1], frame
+        assert len(amap._route_cache) == 512
+        assert len(amap._bank_cache) == 512

@@ -37,24 +37,12 @@ class TestParsing:
         assert args.out == "trace.json"
         assert args.interval == 500
 
-    def test_bench_perf_disable_accepts_fastlane_flags(self):
-        from repro.cli import _build_parser
-        args = _build_parser().parse_args(
-            ["bench-perf", "--quick", "--disable",
-             "tlb_mru", "request_pool", "route_table"])
-        assert args.disable == ["tlb_mru", "request_pool", "route_table"]
-
-    def test_bench_perf_disable_rejects_retired_columnar_flag(self):
+    def test_bench_perf_disable_is_rejected(self, capsys):
         from repro.cli import _build_parser
         with pytest.raises(SystemExit):
             _build_parser().parse_args(
-                ["bench-perf", "--disable", "columnar_llc"])
-
-    def test_bench_perf_disable_rejects_unknown_flag(self):
-        from repro.cli import _build_parser
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(
-                ["bench-perf", "--disable", "warp_drive"])
+                ["bench-perf", "--quick", "--disable", "tlb_mru"])
+        assert "unrecognized arguments: --disable" in capsys.readouterr().err
 
     def test_sweep_endpoint_selects_remote_backend(self):
         from repro.cli import _build_parser, _sweep_backend

@@ -1,12 +1,12 @@
 """Golden result digests: simulated results pinned across engine changes.
 
 Every other equivalence suite compares two paths of the *same* tree
-(strict vs quiescent engine, fast lane on vs off).  This table compares
-against a fixed past: the SHA-256 of each point's ``RunResult`` plus
-its full ``stats_snapshot()``, recorded once and committed.  A host-speed
-change (engine scheduling, queue layout, caching) must leave every
-digest untouched; a change that legitimately alters simulated
-behaviour regenerates the table and says why.
+(strict vs quiescent engine, a cache vs the code it replaces).  This
+table compares against a fixed past: the SHA-256 of each point's
+``RunResult`` plus its full ``stats_snapshot()``, recorded once and
+committed.  A host-speed change (engine scheduling, queue layout,
+caching) must leave every digest untouched; a change that legitimately
+alters simulated behaviour regenerates the table and says why.
 
 Engine bookkeeping (``Simulator.skipped_ticks``,
 ``Simulator.fast_forwarded_cycles``) is not part of either payload, so

@@ -1,4 +1,4 @@
-"""Tests for `repro lint` (src/repro/lint): the five checkers on fixture
+"""Tests for `repro lint` (src/repro/lint): the four checkers on fixture
 snippets, the suppression/baseline machinery, and the acceptance bar --
 the real tree lints clean, and deleting any single ``wake()`` call or
 ``enabled`` guard makes it fail."""
@@ -13,7 +13,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.lint import Baseline, lint_paths, lint_sources, load_baseline
 from repro.lint.determinism import DeterminismChecker
-from repro.lint.fastlane_rules import FastlaneChecker
 from repro.lint.hotclass import HotClassChecker
 from repro.lint.runner import repo_root
 from repro.lint.tracer_guard import TracerGuardChecker
@@ -132,119 +131,6 @@ class TestWakeChecker:
                     return self.inbox.push(item)
         """
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        assert _rules(result) == []
-
-
-# ---------------------------------------------------------------------------
-# Fastlane discipline (F001/F002) fixtures
-# ---------------------------------------------------------------------------
-
-class TestFastlaneChecker:
-    def test_fast_path_without_slow_path_is_f001(self):
-        source = """
-            from repro.sim import fastlane
-
-            def lookup(key):
-                if fastlane.FLAGS.route_table:
-                    return key * 2
-        """
-        result = _lint("src/repro/vm/fx.py", source, [FastlaneChecker()])
-        assert "F001" in _rules(result)
-
-    def test_fall_through_slow_path_is_clean(self):
-        source = """
-            from repro.sim import fastlane
-
-            def lookup(key):
-                if fastlane.FLAGS.route_table:
-                    return key * 2
-                return key + key
-        """
-        result = _lint("src/repro/vm/fx.py", source, [FastlaneChecker()])
-        assert _rules(result) == []
-
-    def test_populate_only_branch_is_clean(self):
-        source = """
-            from repro.sim import fastlane
-
-            _log = []
-
-            def note(key):
-                if fastlane.FLAGS.route_table:
-                    _log.append(key)
-        """
-        result = _lint("src/repro/vm/fx.py", source,
-                       [FastlaneChecker()])
-        # F001 must not fire (no return in the branch); the memo itself
-        # is unregistered, which is F002's job.
-        assert "F001" not in _rules(result)
-        assert "F002" in _rules(result)
-
-    def test_registered_memo_is_clean(self):
-        source = """
-            from repro.sim import fastlane
-
-            _memo = {}
-
-            def lookup(key):
-                if fastlane.FLAGS.route_table:
-                    _memo[key] = key
-                return key
-
-            @fastlane.register_cache
-            def _clear_memo():
-                _memo.clear()
-        """
-        result = _lint("src/repro/vm/fx.py", source, [FastlaneChecker()])
-        assert _rules(result) == []
-
-    def test_unregistered_columnar_memo_is_f002(self):
-        """A live-container registry (module-level list populated under
-        a fast-lane flag) must register a clearer -- a registry minus its
-        ``@fastlane.register_cache`` hook."""
-        source = """
-            from repro.sim import fastlane
-
-            _live = []
-
-            def track(container):
-                if fastlane.FLAGS.columnar_llc:
-                    _live.append(container)
-                return container
-        """
-        result = _lint("src/repro/sim/fx.py", source, [FastlaneChecker()])
-        assert "F002" in _rules(result)
-
-    def test_registered_columnar_memo_is_clean(self):
-        source = """
-            from repro.sim import fastlane
-
-            _live = []
-
-            def track(container):
-                if fastlane.FLAGS.columnar_llc:
-                    _live.append(container)
-                return container
-
-            @fastlane.register_cache
-            def _clear_live():
-                _live.clear()
-        """
-        result = _lint("src/repro/sim/fx.py", source, [FastlaneChecker()])
-        assert _rules(result) == []
-
-    def test_read_only_module_dict_exempt(self):
-        source = """
-            from repro.sim import fastlane
-
-            _SIZES = {"req": 32, "reply": 128}
-
-            def size(kind):
-                if fastlane.FLAGS.request_pool:
-                    return _SIZES[kind]
-                return _SIZES[kind]
-        """
-        result = _lint("src/repro/sim/fx.py", source, [FastlaneChecker()])
         assert _rules(result) == []
 
 
@@ -612,16 +498,6 @@ class TestRealTree:
                 sites += 1
         assert sites >= 8
 
-    def test_unregistering_any_cache_clearer_fails_lint(self):
-        for rel in ("src/repro/workloads/patterns.py",
-                    "src/repro/sim/request.py"):
-            source = (REPO / rel).read_text(encoding="utf-8")
-            assert "@fastlane.register_cache" in source, rel
-            mutated = source.replace("@fastlane.register_cache", "")
-            result = lint_sources({rel: mutated},
-                                  checkers=[FastlaneChecker()])
-            assert any(f.rule == "F002" for f in result.new), rel
-
     def test_removing_slots_fails_hot_class_check(self):
         rel = "src/repro/sim/queues.py"
         source = (REPO / rel).read_text(encoding="utf-8")
@@ -661,6 +537,7 @@ class TestLintCLI:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("W001", "W002", "F001", "F002", "T001",
+        for rule in ("W001", "W002", "T001",
                      "D001", "D004", "H001", "H002", "B001"):
             assert rule in out
+        assert "F001" not in out and "F002" not in out

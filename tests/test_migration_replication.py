@@ -109,9 +109,9 @@ def _mmu_over(driver, sm_id):
 
 
 class TestMigrationInvalidation:
-    """Migration must invalidate every fast-lane cache that could hold
-    the old placement: TLB entries (incl. the MRU front cache) via the
-    generation bump, while frame-pure route memos stay valid."""
+    """Migration must invalidate every cache that could hold the old
+    placement: TLB entries via the generation bump, while frame-pure
+    route memos stay valid."""
 
     def _migrate_page(self, driver, manager):
         """Fault vpage 1 onto channel 0, hammer it from partition 3 and
@@ -130,7 +130,7 @@ class TestMigrationInvalidation:
         old_frame = driver.handle_fault(vpage=1, sm_id=0)
         mmu.translate(1, now=0)
         _, frame = mmu.translate(1, now=100)
-        assert frame == old_frame  # cached, MRU-warm
+        assert frame == old_frame  # cached, L1-TLB-warm
         for _ in range(20):
             driver.note_access(1, sm_id=6)
         manager.on_interval(1000)
@@ -139,7 +139,7 @@ class TestMigrationInvalidation:
         _, frame = mmu.translate(1, now=5000)
         assert frame == new_frame  # shootdown flushed the stale entry
         _, frame = mmu.translate(1, now=6000)
-        assert frame == new_frame  # and the refilled MRU path agrees
+        assert frame == new_frame  # and the refilled L1 entry agrees
 
     def test_migrated_frame_routes_to_destination_channel(self):
         driver = _driver()

@@ -1,5 +1,8 @@
 """Memory-request and tracker tests."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.sim.request import (
@@ -114,3 +117,113 @@ class TestTracker:
         data = tracker.as_dict()
         assert data["completed"] == 1
         assert set(data) >= {"local", "remote", "llc_hits", "mean_latency"}
+
+
+class TestRequestPoolFieldReset:
+    """A recycled request must be indistinguishable from a fresh one.
+
+    Every dataclass field of a released request is dirtied, then the
+    request is drawn again through both recycling paths: ``acquire()``
+    and the inlined copy of its field resets in ``SMCore._issue_mem``.
+    Because the dirtying walks ``dataclasses.fields``, a field added to
+    :class:`MemoryRequest` but not reset on both paths fails here.
+    """
+
+    #: Fields the issue path assigns real values right after recycling.
+    ISSUE_ASSIGNED = ("req_id", "issue_cycle", "on_complete")
+
+    @staticmethod
+    def _dirty(request):
+        for f in dataclasses.fields(MemoryRequest):
+            value = getattr(request, f.name)
+            if isinstance(value, bool):
+                dirty = not value
+            elif isinstance(value, int):
+                dirty = value + 1_000_003
+            elif isinstance(value, str):
+                dirty = value + "stale"
+            elif isinstance(value, AccessKind):
+                dirty = (AccessKind.ATOMIC if value is not AccessKind.ATOMIC
+                         else AccessKind.STORE)
+            elif value is None:
+                dirty = object()
+            else:
+                raise AssertionError(
+                    f"no dirty value for field {f.name!r} = {value!r}")
+            setattr(request, f.name, dirty)
+
+    @staticmethod
+    def _fields_differing(request, fresh, ignore=()):
+        return [f.name for f in dataclasses.fields(MemoryRequest)
+                if f.name not in ignore
+                and getattr(request, f.name) != getattr(fresh, f.name)]
+
+    @pytest.fixture
+    def empty_pool(self):
+        import repro.sim.request as request_mod
+        from repro.sim import fastlane
+        saved_ids = request_mod._req_ids
+        fastlane.reset()
+        yield
+        fastlane.reset()
+        request_mod._req_ids = saved_ids
+
+    def _released_dirty_request(self):
+        import repro.sim.request as request_mod
+        request = MemoryRequest(AccessKind.LOAD, 1, sm_id=1, vpage=1)
+        request_mod.release(request)
+        assert request_mod._pool == [request]
+        self._dirty(request)
+        return request
+
+    def test_acquire_resets_every_field(self, empty_pool):
+        import repro.sim.request as request_mod
+        stale = self._released_dirty_request()
+        request_mod._req_ids = itertools.count(100)
+        request = request_mod.acquire(AccessKind.LOAD, 64, 3, vpage=2)
+        assert request is stale
+        assert request.req_id == 100
+        fresh = MemoryRequest(AccessKind.LOAD, 64, 3, vpage=2)
+        assert self._fields_differing(request, fresh,
+                                      ignore=("req_id",)) == []
+
+    def test_sm_issue_path_resets_every_field(self, empty_pool):
+        import repro.sim.request as request_mod
+        from repro.cache.l1 import L1Cache
+        from repro.config.presets import small_config
+        from repro.sm.core import SMCore
+        from repro.sm.warp import MemAccess, Warp, make_stream
+        from repro.vm.tlb import L2TLB, MMU, TranslationProvider
+        from repro.vm.walker import WalkerPool
+
+        class Identity(TranslationProvider):
+            def lookup_translation(self, vpage, sm_id):
+                return vpage
+
+            def handle_fault(self, vpage, sm_id):
+                return vpage
+
+        class Scheduler:
+            def notify_stall(self, warp):
+                pass
+
+        gpu = small_config(num_channels=2)
+        l2 = L2TLB(gpu.tlb.l2_entries, gpu.tlb.l2_ways, gpu.tlb.l2_latency)
+        mmu = MMU(0, gpu.tlb, l2, WalkerPool(4, 10), Identity())
+        sm = SMCore(0, gpu, L1Cache(0, gpu.l1), mmu,
+                    request_sink=lambda r: True)
+        warp = Warp(0, 0, make_stream([]))
+
+        stale = self._released_dirty_request()
+        request_mod._req_ids = itertools.count(100)
+        instr = MemAccess(AccessKind.LOAD, ((5, 3),), space="data")
+        sm._issue_mem(warp, instr, Scheduler(), now=40)
+        (_, _, request), = sm._lsu
+        assert request is stale
+        assert request.req_id == 100
+        assert request.issue_cycle == 40
+        assert request.on_complete == warp.load_cb
+        fresh = MemoryRequest(AccessKind.LOAD, 5 * gpu.lines_per_page + 3,
+                              0, vpage=5)
+        assert self._fields_differing(request, fresh,
+                                      ignore=self.ISSUE_ASSIGNED) == []

@@ -1,5 +1,8 @@
 """Virtual-memory tests: page table, TLBs, walkers and the MMU."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.config.gpu import TLBConfig
@@ -58,55 +61,58 @@ class TestL1TLB:
         tlb.flush()
         assert tlb.lookup(1) == (False, -1)
 
-
-class TestL1TLBMRUFrontCache:
-    """Invalidation and order-neutrality of the one-entry MRU front
-    cache (fastlane ``tlb_mru``, docs/PERFORMANCE.md "Busy path")."""
-
-    def test_mru_tracks_hits_and_fills(self):
-        tlb = L1TLB(4)
-        tlb.fill(1, 10)
-        assert (tlb._mru_key, tlb._mru_frame) == (1, 10)
-        tlb.fill(2, 20)
-        assert tlb._mru_key == 2
-        assert tlb.lookup(1) == (True, 10)
-        assert (tlb._mru_key, tlb._mru_frame) == (1, 10)
-
-    def test_flush_clears_mru(self):
-        tlb = L1TLB(4)
-        tlb.fill(1, 10)
-        tlb.flush()
-        assert tlb._mru_key is None
-        assert tlb.lookup(1) == (False, -1)
-
-    def test_mru_hit_preserves_lru_order(self):
-        # The MRU probe skips move_to_end; the invariant (MRU key ==
-        # most-recent LRU entry) makes that a no-op, so eviction order
-        # must match a plain LRU exactly.
+    def test_hit_refreshes_lru_order(self):
         tlb = L1TLB(2)
         tlb.fill(1, 10)
         tlb.fill(2, 20)
-        assert tlb.lookup(2) == (True, 20)  # MRU front-cache hit
+        assert tlb.lookup(2) == (True, 20)  # already most recent
         tlb.fill(3, 30)  # must evict 1 (the true LRU), not 2
         assert tlb.lookup(1) == (False, -1)
         assert tlb.lookup(2) == (True, 20)
 
-    def test_hit_accounting_exact_on_mru_path(self):
+    def test_hit_accounting_exact(self):
         tlb = L1TLB(4)
         tlb.fill(1, 10)
         tlb.lookup(1)
-        tlb.lookup(1)  # MRU path must bump hits immediately
-        assert (tlb.hits, tlb.misses) == (2, 0)
+        tlb.lookup(1)
+        tlb.lookup(2)
+        assert (tlb.hits, tlb.misses) == (2, 1)
 
-    def test_mru_disabled_keeps_plain_lru(self):
-        from repro.sim import fastlane
-
-        with fastlane.disabled():
-            tlb = L1TLB(2)
-            tlb.fill(1, 10)
-            assert tlb._mru_key is None
-            assert tlb.lookup(1) == (True, 10)
-            assert tlb._mru_key is None
+    def test_matches_ordered_dict_lru_model(self):
+        """A seeded random lookup/fill/flush stream: every probe result,
+        the hit/miss counters and the resident set (hence every
+        eviction) match a plain OrderedDict LRU."""
+        rng = random.Random(7)
+        entries = 4
+        tlb = L1TLB(entries)
+        model: "OrderedDict[int, int]" = OrderedDict()
+        hits = misses = evictions = 0
+        for step in range(5000):
+            op = rng.random()
+            key = rng.randrange(10)
+            if op < 0.6:
+                expected = (key in model, model.get(key, -1))
+                if key in model:
+                    model.move_to_end(key)
+                    hits += 1
+                else:
+                    misses += 1
+                assert tlb.lookup(key) == expected, step
+            elif op < 0.98:
+                frame = rng.randrange(1000)
+                if key in model:
+                    del model[key]
+                elif len(model) >= entries:
+                    model.popitem(last=False)
+                    evictions += 1
+                model[key] = frame
+                tlb.fill(key, frame)
+            else:
+                model.clear()
+                tlb.flush()
+            assert list(tlb._map.items()) == list(model.items()), step
+        assert (tlb.hits, tlb.misses) == (hits, misses)
+        assert evictions > 100 and hits > 100 and misses > 100
 
 
 class TestL2TLB:
@@ -213,18 +219,18 @@ class TestMMU:
         _, frame = mmu.translate(7, now=5000)
         assert frame == 99  # stale entry flushed, re-walked
 
-    def test_shootdown_clears_mru_front_cache(self):
-        """The inline MRU probe in ``MMU.translate`` must never serve a
-        frame across a translation-generation bump (TLB shootdown)."""
+    def test_shootdown_after_warm_l1_hit(self):
+        """A warm L1 entry must never serve a frame across a
+        translation-generation bump (TLB shootdown)."""
         mmu, driver = _mmu()
         mmu.translate(7, now=0)
         ready, frame = mmu.translate(7, now=100)
-        assert (ready, frame) == (101, 0)  # MRU-warm 1-cycle L1 hit
+        assert (ready, frame) == (101, 0)  # warm 1-cycle L1 hit
         driver.table[7] = 99
         driver._generation += 1
         _, frame = mmu.translate(7, now=5000)
-        assert frame == 99  # stale MRU entry flushed with the rest
-        assert mmu.l1._mru_frame == 99  # refilled from the new walk
+        assert frame == 99  # stale entry flushed with the rest
+        assert mmu.l1.lookup(7) == (True, 99)  # refilled from the walk
 
     def test_kernel_boundary_flush_keeps_l2(self):
         mmu, driver = _mmu()

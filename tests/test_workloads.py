@@ -201,3 +201,43 @@ class TestRegion:
     def test_slab_minimum_one_page(self):
         region = Region("r", 0, 2)
         assert region.slab(5, 8).pages == 1
+
+
+class TestInterning:
+    """Interned warp-body instructions equal freshly built ones, on the
+    first (filling) call and on the second (shared-object) call."""
+
+    def test_vaccess_matches_fresh_mem_access(self):
+        from repro.sim import fastlane
+        from repro.workloads.patterns import LINES_PER_PAGE, _vaccess
+
+        fastlane.reset()
+        regions = [Region("a", 3, 2), Region("b", 100, 5)]
+        for region in regions:
+            span = region.pages * LINES_PER_PAGE
+            for kind in (AccessKind.LOAD, AccessKind.STORE):
+                # Starts past the span exercise the modulo normalisation.
+                for start in range(0, 3 * span, 7):
+                    for count in (1, 4):
+                        fresh = MemAccess(
+                            kind,
+                            tuple(region.line_target(start + k)
+                                  for k in range(count)),
+                            space=region.name,
+                        )
+                        first = _vaccess(kind, region, start, count)
+                        again = _vaccess(kind, region, start, count)
+                        assert first == fresh
+                        assert again is first
+        fastlane.reset()
+
+    def test_compute_matches_fresh_compute(self):
+        from repro.sim import fastlane
+        from repro.workloads.patterns import _compute
+
+        fastlane.reset()
+        for cycles in range(1, 40):
+            first = _compute(cycles)
+            assert first == Compute(cycles)
+            assert _compute(cycles) is first
+        fastlane.reset()
