@@ -37,7 +37,14 @@ class TestParsing:
         assert args.out == "trace.json"
         assert args.interval == 500
 
-    def test_bench_perf_disable_is_rejected(self, capsys):
+    def test_bench_perf_disable_rejects_retired_columnar_flag(self, capsys):
+        from repro.cli import _build_parser
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["bench-perf", "--disable", "columnar_llc"])
+        assert "unrecognized arguments: --disable" in capsys.readouterr().err
+
+    def test_bench_perf_disable_rejects_unknown_flag(self, capsys):
         from repro.cli import _build_parser
         with pytest.raises(SystemExit):
             _build_parser().parse_args(

@@ -10,6 +10,7 @@ results and (benchmark-marked) bounded wall-clock overhead.
 
 import dataclasses
 import json
+import statistics
 import time
 
 import pytest
@@ -381,33 +382,35 @@ class TestDisabledOverhead:
     @pytest.mark.benchmark
     def test_disabled_tracing_overhead_under_5_percent(self):
         """The docs/TRACING.md guarantee: with tracing disabled, a
-        100k-cycle run costs < 5% extra wall-clock vs no tracer attached
-        (interleaved best-of-N so host-clock drift hits both systems
-        equally). Strict mode keeps every component ticking so the
-        per-tick guard cost is what's measured (the quiescence engine
-        would otherwise fast-forward the idle system and leave nothing
-        to time)."""
+        strict run costs < 5% extra wall-clock vs no tracer attached.
+
+        The two systems run 100 interleaved 5k-cycle slices (500k cycles
+        each) and the bound applies to the median of the per-slice time
+        ratios. Adjacent slices share the host's state, so host-speed
+        swings cancel in each ratio; a min-vs-min comparison instead
+        swings by over 10% between two identical untraced systems on a
+        shared host, and misses a real 7% overhead as often as not.
+        Strict mode keeps every component ticking so the per-tick guard
+        cost is what's measured (the quiescence engine would otherwise
+        fast-forward the idle system and leave nothing to time)."""
         _, plain = _nuba_system()
         _, hooked = _nuba_system()
         plain.sim.strict = True
         hooked.sim.strict = True
         Tracer.attach(hooked, enabled=False)
-        cycles, repeats = 100_000, 5
+        cycles, pairs = 5_000, 100
 
         def timed(system):
             start = time.perf_counter()
             system.sim.run(cycles)
             return time.perf_counter() - start
 
-        base_times, disabled_times = [], []
-        for _ in range(repeats):
-            base_times.append(timed(plain))
-            disabled_times.append(timed(hooked))
-        base = min(base_times)
-        disabled = min(disabled_times)
-        assert disabled <= base * 1.05, (
-            f"disabled tracing overhead {disabled / base - 1:.1%}"
-        )
+        ratios = []
+        for _ in range(pairs):
+            base = timed(plain)
+            ratios.append(timed(hooked) / base)
+        overhead = statistics.median(ratios) - 1
+        assert overhead <= 0.05, f"disabled tracing overhead {overhead:.1%}"
 
 
 class TestRunObserver:
