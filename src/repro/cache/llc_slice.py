@@ -162,7 +162,7 @@ class LLCSlice(Component):
     def tick(self, now: int) -> bool:
         # The deque objects are stable (mutated in place), so the
         # hoisted locals stay valid across the drain/arbitrate calls
-        # and the idle verdict reads them instead of re-walking the
+        # and the sleep verdict reads them instead of re-walking the
         # attribute chains.
         retry_replies = self._retry_replies
         retry_misses = self._retry_misses
@@ -176,8 +176,13 @@ class LLCSlice(Component):
         rmr_items = self.rmr._items
         if fill_items or lmr_items or rmr_items:
             self._arbitrate(now)
-        # Idle verdict from end-of-tick state (== self.idle(now)); the
-        # engine skips the separate idle() call when tick returns one.
+        # Sleep verdict: no queued work anywhere in the slice.
+        # Outstanding MSHR entries alone do not keep the slice awake: a
+        # slice whose only state is misses-in-flight does nothing until
+        # the fill arrives (:meth:`fill` wakes it). Everything else --
+        # queued requests, pending fill ops, pipelined array results and
+        # blocked retries -- is time- or backpressure-driven and needs
+        # ticks.
         return not (
             lmr_items
             or rmr_items
@@ -185,27 +190,6 @@ class LLCSlice(Component):
             or pipeline
             or retry_replies
             or retry_misses
-        )
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """No queued work anywhere in the slice.
-
-        Outstanding MSHR entries alone do not keep the slice awake: a
-        slice whose only state is misses-in-flight does nothing until
-        the fill arrives (:meth:`fill` wakes it). Everything else --
-        queued requests, pending fill ops, pipelined array results and
-        blocked retries -- is time- or backpressure-driven and needs
-        ticks.
-        """
-        return not (
-            self.lmr._items
-            or self.rmr._items
-            or self.fill_queue._items
-            or self._pipeline._items
-            or self._retry_replies
-            or self._retry_misses
         )
 
     def _drain_retries(self) -> None:
@@ -266,7 +250,6 @@ class LLCSlice(Component):
     def _process_request(
         self, request: MemoryRequest, now: int, source: BoundedQueue
     ) -> None:
-        # == self._partition_hint(request), inlined on the hot path.
         if request.src_partition == request.home_partition:
             self.local_accesses += 1
         else:
@@ -358,9 +341,6 @@ class LLCSlice(Component):
             if self.writeback_sink is not None:
                 # Writeback drops are not tolerated; the sink buffers.
                 self.writeback_sink(victim.line_addr)
-
-    def _partition_hint(self, request: MemoryRequest) -> int:
-        return request.home_partition
 
     # ------------------------------------------------------------------
     # Statistics.

@@ -84,9 +84,6 @@ class SetSampler:
         self._remote_ro = 0
         self._remote_other = 0
 
-    def _in_sample(self, line_addr: int) -> bool:
-        return (line_addr % self.slice_sets) in self._sampled
-
     def observe(
         self,
         line_addr: int,
@@ -109,8 +106,8 @@ class SetSampler:
             else:
                 self._remote_other += 1
 
-        # == self._in_sample(line_addr), inlined: observe runs for every
-        # routed NUBA request and most lines fall outside the sample.
+        # Set-sampled: observe runs for every routed NUBA request and
+        # most lines fall outside the sample.
         if (line_addr % self.slice_sets) not in self._sampled:
             return
 

@@ -24,9 +24,10 @@ class EvictedLine:
 class CacheArray:
     """A sets x ways array of cache lines with per-set LRU ordering.
 
-    Lines are keyed by their *line address* (byte address / line size).
-    Each set is an ``OrderedDict`` mapping line address to a dirty bit,
-    ordered least- to most-recently used.
+    Lines are keyed by their *line address* (byte address / line size)
+    and live in set ``line_addr % sets``. Each set is an ``OrderedDict``
+    mapping line address to a dirty bit, ordered least- to
+    most-recently used.
     """
 
     def __init__(self, sets: int, ways: int) -> None:
@@ -41,14 +42,8 @@ class CacheArray:
         self.misses = 0
         self.evictions = 0
 
-    def set_index(self, line_addr: int) -> int:
-        """The set a line address maps to."""
-        return line_addr % self.sets
-
     def lookup(self, line_addr: int, mark_dirty: bool = False) -> bool:
         """Return True on hit; updates LRU order (and the dirty bit)."""
-        # set_index is inlined here and below: lookup/install run for
-        # every L1 and LLC access.
         line_set = self._sets[line_addr % self.sets]
         if line_addr in line_set:
             line_set.move_to_end(line_addr)
@@ -110,10 +105,6 @@ class CacheArray:
         if accesses == 0:
             return 0.0
         return self.hits / accesses
-
-    def set_occupancy(self, index: int) -> int:
-        """Number of valid lines in one set."""
-        return len(self._sets[index])
 
     def lines_in_set(self, index: int) -> List[int]:
         """The line addresses currently cached in one set."""

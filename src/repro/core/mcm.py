@@ -58,23 +58,18 @@ class ModuleEgressLinks(Component):
         self.wake()
         return self.links[module].push((final_sink, request), size)
 
-    def tick(self, now: int) -> None:
-        for link in self.links:
+    def tick(self, now: int) -> bool:
+        links = self.links
+        for link in links:
             link.tick(now)
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Every module's egress link is drained."""
-        for link in self.links:
-            if not link.idle:
+        # Sleep verdict: every module's egress link drained.  A link
+        # whose input held a packet at the start of its tick still holds
+        # it, queued or in flight, so a True verdict means each link
+        # ticked with an empty input and already clamped its credit.
+        for link in links:
+            if link.input._items or link._in_flight:
                 return False
         return True
-
-    def on_sleep(self, now: int) -> None:
-        """Clamp each link's banked credit as its idle ticks would."""
-        for link in self.links:
-            link.quiesce()
 
     @property
     def pending(self) -> int:

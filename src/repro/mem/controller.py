@@ -117,19 +117,11 @@ class MemoryController(Component):
         # transfers via the bus reservation in _schedule.
         if self._queue:
             self._schedule(now)
-        # Idle verdict from end-of-tick state (== self.idle(now)).
-        return not (self._queue or self._completions or self._retry_fills)
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Nothing queued, completing or retrying.
-
-        Bank/bus timing state needs no ticks on its own: ``Bank.ready``
-        and the bus reservation are compared against absolute cycles
-        when the next request arrives (:meth:`enqueue` wakes us), so a
-        drained controller behaves identically however long it sleeps.
-        """
+        # Sleep verdict: nothing queued, completing or retrying.
+        # Bank/bus timing state needs no ticks on its own: ``Bank.ready``
+        # and the bus reservation are compared against absolute cycles
+        # when the next request arrives (:meth:`enqueue` wakes us), so a
+        # drained controller behaves identically however long it sleeps.
         return not (self._queue or self._completions or self._retry_fills)
 
     def _deliver(self, now: int) -> None:

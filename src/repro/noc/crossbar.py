@@ -104,18 +104,10 @@ class Crossbar(Component):
             self._deliver(now)
         if self._active:
             self._transfer(now)
-        # Idle verdict from end-of-tick state (== self.idle(now)).
-        return not self._arrivals and not self._active
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """No queued packets and nothing in the arrival pipelines.
-
-        Port credit is accrued lazily against absolute cycles
-        (``_out_updated`` timestamps), so an empty crossbar's tick
-        mutates nothing and skipping it is invisible.
-        """
+        # Sleep verdict: no queued packets and nothing in the arrival
+        # pipelines.  Port credit is accrued lazily against absolute
+        # cycles (``_out_updated`` timestamps), so an empty crossbar's
+        # tick mutates nothing and skipping it is invisible.
         return not self._arrivals and not self._active
 
     def _deliver(self, now: int) -> None:
@@ -130,24 +122,13 @@ class Crossbar(Component):
             if not pipe:
                 del self._arrivals[dest]
 
-    def _out_budget(self, dest: int, now: int) -> float:
-        """Lazily accrue output-port credit."""
-        elapsed = now - self._out_updated[dest]
-        if elapsed > 0:
-            self._out_credit[dest] = min(
-                self._credit_cap,
-                self._out_credit[dest] + elapsed * self.port_width,
-            )
-            self._out_updated[dest] = now
-        return self._out_credit[dest]
-
     def _transfer(self, now: int) -> None:
         """Move packets from input queues into the pipeline.
 
-        The output-credit accrual (= :meth:`_out_budget`) is inlined and
-        the instance attributes hoisted into locals: this loop runs once
-        per cycle for every crossbar with queued traffic and dominated
-        the NoC's profile before hoisting.
+        Output-port credit accrues lazily against ``_out_updated``, and
+        the instance attributes are hoisted into locals: this loop runs
+        once per cycle for every crossbar with queued traffic and
+        dominated the NoC's profile before hoisting.
         """
         still_active: List[int] = []
         active = self._active

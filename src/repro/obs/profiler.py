@@ -33,10 +33,11 @@ class _TickProxy:
     awake flag and idle bookkeeping live on the wrapped component
     (ingress ``wake()`` calls land there, since routing sinks hold
     references to the real component), so ``_awake``/``_idle_since``
-    delegate, and ``idle``/``on_sleep``/``on_skipped`` forward.  A
-    profiled run therefore skips exactly the ticks an unprofiled run
-    would -- profiling no longer forces every component back onto the
-    hot path -- and the proxy counts the skips it is told about.
+    delegate, ``tick`` returns the wrapped component's sleep verdict,
+    and ``wake``/``on_skipped`` forward.  A profiled run therefore
+    skips exactly the ticks an unprofiled run would -- profiling no
+    longer forces every component back onto the hot path -- and the
+    proxy counts the skips it is told about.
     """
 
     __slots__ = ("inner", "name", "ticks", "seconds", "skipped")
@@ -49,12 +50,14 @@ class _TickProxy:
         #: Strict-mode ticks the engine elided for this component.
         self.skipped = 0
 
-    def tick(self, now: int) -> None:
-        """Forward one cycle to the wrapped component, timed."""
+    def tick(self, now: int) -> bool:
+        """Forward one cycle to the wrapped component, timed; returns
+        its sleep verdict."""
         start = time.perf_counter()
-        self.inner.tick(now)
+        asleep = self.inner.tick(now)
         self.seconds += time.perf_counter() - start
         self.ticks += 1
+        return asleep
 
     # -- activity contract (delegated to the wrapped component) --------
 
@@ -82,14 +85,8 @@ class _TickProxy:
     def tracer(self, value) -> None:
         self.inner.tracer = value
 
-    def idle(self, now: int) -> bool:
-        return self.inner.idle(now)
-
     def wake(self) -> None:
         self.inner.wake()
-
-    def on_sleep(self, now: int) -> None:
-        self.inner.on_sleep(now)
 
     def on_skipped(self, cycles: int) -> None:
         self.skipped += cycles

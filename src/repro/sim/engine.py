@@ -20,12 +20,18 @@ Quiescence skipping (docs/PERFORMANCE.md)
 Most cycles, most components have nothing to do: SMs whose warps are
 all waiting on memory, LLC slices with empty queues, links with nothing
 in flight. Ticking them anyway is pure Python overhead, so the engine
-maintains an *activity contract*:
+maintains an *activity contract* of three methods:
 
-* After a component ticks, the engine asks :meth:`Component.idle`.  A
-  ``True`` answer is a promise that every future ``tick`` would be a
-  no-op until an *external* event arrives; the engine then stops
-  ticking the component.
+* :meth:`Component.tick` returns the sleep verdict.  A truthy return
+  is a promise that every future ``tick`` would be a no-op until an
+  *external* event arrives; the engine then stops ticking the
+  component.  A falsy return (``False``, or the ``None`` of a tick
+  that returns nothing) keeps it awake, so a component that never
+  states a verdict is simply ticked every cycle.  The promise must
+  hold *exactly*: the tick that returns ``True`` has already applied
+  every per-cycle state transition an idle strict-mode tick would
+  (e.g. a bandwidth link's credit clamp), and any counter a quiescent
+  tick would still advance is reproduced by ``on_skipped``.
 * External events (a request pushed into an ingress queue, a reply
   delivered, a kernel launched) call :meth:`Component.wake`, which puts
   the component back on the active list.  A component woken before its
@@ -72,10 +78,11 @@ _NEVER = float("inf")
 class Component:
     """Base class for everything that does per-cycle work.
 
-    Subclasses that want to benefit from quiescence skipping override
-    :meth:`idle` (and :meth:`on_skipped` / :meth:`on_sleep` when their
-    strict-mode tick mutates state even while quiescent).  The default
-    contract -- never idle -- keeps arbitrary components correct.
+    Subclasses that want to benefit from quiescence skipping return
+    ``True`` from :meth:`tick` when they may sleep (and override
+    :meth:`on_skipped` when their strict-mode tick advances counters
+    even while quiescent).  A tick that returns nothing never sleeps,
+    which keeps arbitrary components correct.
     """
 
     #: Shared disabled tracer; replaced per instance when a run is
@@ -98,29 +105,17 @@ class Component:
         #: lookups on those instances.
         self.tracer = NULL_TRACER
 
-    def tick(self, now: int) -> object:
-        """Advance this component by one cycle.
+    def tick(self, now: int) -> bool:
+        """Advance this component by one cycle; return the sleep verdict.
 
-        May return the :meth:`idle` verdict for this cycle (``True`` /
-        ``False``) to spare the engine the separate ``idle`` call --
-        hot components compute it from locals they already hold at the
-        end of their tick.  Returning ``None`` (the default) makes the
-        engine call :meth:`idle` as usual; the two forms must agree.
+        ``True`` means every future ``tick`` is a no-op until an
+        external event calls :meth:`wake`; a falsy return keeps the
+        component awake.  Hot components compute the verdict from
+        locals they already hold at the end of their tick.
         """
         raise NotImplementedError
 
     # -- activity contract --------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """True when every future ``tick`` is a no-op until an external
-        event calls :meth:`wake`.  Evaluated right after ``tick(now)``.
-
-        The promise must hold *exactly*: a component whose strict-mode
-        tick would mutate any state (even a counter) while "idle" must
-        either return False or reproduce the mutation in
-        :meth:`on_skipped`.
-        """
-        return False
 
     def wake(self) -> None:
         """Re-activate after an external event (idempotent, cheap)."""
@@ -129,11 +124,6 @@ class Component:
             sim = self._sim
             if sim is not None:
                 sim._n_asleep -= 1
-
-    def on_sleep(self, now: int) -> None:
-        """Hook invoked once when the engine stops ticking this
-        component; apply any idempotent per-idle-cycle state transition
-        here (e.g. a bandwidth link's credit clamp)."""
 
     def on_skipped(self, cycles: int) -> None:
         """Account ``cycles`` skipped ticks.
@@ -229,13 +219,9 @@ class Simulator:
                             self.skipped_ticks += now - since
                             component.on_skipped(now - since)
                         component._idle_since = -1
-                    asleep = component.tick(now)
-                    if asleep is None:
-                        asleep = component.idle(now)
-                    if asleep:
+                    if component.tick(now):
                         component._awake = False
                         component._idle_since = now + 1
-                        component.on_sleep(now)
                         n_slept += 1
             if n_slept:
                 self._n_asleep += n_slept

@@ -55,10 +55,6 @@ class BoundedQueue(Generic[T]):
     def full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._items)
-
     def push(self, item: T) -> bool:
         """Append an item; False when the queue is full."""
         items = self._items
@@ -128,18 +124,6 @@ class DelayLine(Generic[T]):
             ready.append(items.popleft()[1])
         return ready
 
-    def peek_ready(self, now: int) -> Optional[T]:
-        """The first ready item, if any, without removing it."""
-        if self._items and self._items[0][0] <= now:
-            return self._items[0][1]
-        return None
-
-    def next_ready_cycle(self) -> Optional[int]:
-        """Ready cycle of the head item (None when empty)."""
-        if self._items:
-            return self._items[0][0]
-        return None
-
 
 class BandwidthLink(Generic[T]):
     """A point-to-point link with a byte-per-cycle ceiling and latency.
@@ -203,24 +187,6 @@ class BandwidthLink(Generic[T]):
     def pending(self) -> int:
         return len(self.input) + len(self._in_flight)
 
-    @property
-    def idle(self) -> bool:
-        """True when a tick would be a no-op: nothing queued or in
-        flight. A quiescing owner must also call :meth:`quiesce` to
-        reproduce the per-idle-cycle credit clamp."""
-        return not self.input._items and not self._in_flight
-
-    def quiesce(self) -> None:
-        """Apply the idle-cycle credit clamp once.
-
-        A strict-mode tick with an empty ingress clamps banked credit to
-        one cycle's width every cycle; the clamp is idempotent, so a
-        component that stops ticking an idle link calls this once at
-        sleep time to leave the credit bit-identical to strict mode.
-        """
-        if self._credit > self.width_bytes:
-            self._credit = self.width_bytes
-
     def tick(self, now: int) -> None:
         """Advance the link by one cycle: earn credit, launch packets and
         deliver packets whose latency elapsed."""
@@ -237,6 +203,9 @@ class BandwidthLink(Generic[T]):
         queued = self.input._items
         if not queued:
             # An idle link cannot bank more than one cycle of bandwidth.
+            # The clamp is idempotent, so an owner that sleeps after a
+            # tick with an empty input leaves the credit exactly where
+            # strict mode's idle ticks would.
             if self._credit > self.width_bytes:
                 self._credit = self.width_bytes
             return

@@ -168,10 +168,8 @@ class _Sleeper(Component):
         super().__init__("sleeper")
         self.cycles_seen = 0
 
-    def tick(self, now: int) -> None:
+    def tick(self, now: int) -> bool:
         self.cycles_seen += 1
-
-    def idle(self, now: int) -> bool:
         return True
 
     def on_skipped(self, cycles: int) -> None:

@@ -261,8 +261,8 @@ class TestTickProfiler:
 
 
 class TestTickProfilerActivityContract:
-    """The proxy must forward the full activity contract
-    (``wake``/``idle``/``on_sleep``/``on_skipped`` plus the
+    """The proxy must forward the full activity contract (the sleep
+    verdict ``tick`` returns, ``wake``/``on_skipped``, plus the
     ``_awake``/``_idle_since`` bookkeeping), otherwise a profiled run
     skips different ticks than an unprofiled one and diverges."""
 
@@ -288,17 +288,12 @@ class TestTickProfilerActivityContract:
             if self.inbox:
                 self.inbox.pop()
                 self.processed += 1
-                # the returned verdict must agree with idle(now): after
-                # draining the last item every future tick is a no-op
-                return not self.inbox
-            self.quiet_cycles += 1
-            return True
-
-        def idle(self, now):
-            return not self.inbox
-
-        def on_sleep(self, now):
-            self.sleeps += 1
+            else:
+                self.quiet_cycles += 1
+            # after draining the last item every future tick is a no-op
+            asleep = not self.inbox
+            self.sleeps += asleep
+            return asleep
 
         def on_skipped(self, cycles):
             self.quiet_cycles += cycles
@@ -310,15 +305,14 @@ class TestTickProfilerActivityContract:
         comp._awake = False
         proxy.wake()
         assert comp._awake is True
-        # idle() delegates
-        assert proxy.idle(0) is True
-        comp.inbox.append(object())
-        assert proxy.idle(0) is False
-        comp.inbox.clear()
-        # on_sleep / on_skipped forward (and the proxy keeps its own
-        # skip counter for the report)
-        proxy.on_sleep(3)
+        # tick() returns the wrapped component's verdict
+        comp.inbox.extend([object(), object()])
+        assert proxy.tick(0) is False
+        assert proxy.tick(1) is True
+        assert comp.ticks == proxy.ticks == 2
         assert comp.sleeps == 1
+        # on_skipped forwards (and the proxy keeps its own skip counter
+        # for the report)
         proxy.on_skipped(7)
         assert comp.quiet_cycles == 7
         assert proxy.skipped == 7
