@@ -247,10 +247,12 @@ class GPUSystem:
         return self._route_request(request)
 
     def _deliver_to_sm(self, request: MemoryRequest) -> bool:
-        """Final reply delivery; records bandwidth statistics."""
+        """Final reply delivery; records bandwidth and latency statistics
+        (the SM completes the request on a later tick, so the tracker
+        takes the delivery cycle from the clock)."""
         if not self.sms[request.sm_id].deliver_reply(request):
             return False
-        self.tracker.record(request)
+        self.tracker.record(request, self.sim.cycle)
         return True
 
     def _mc_fill_sink(self, request: MemoryRequest) -> bool:

@@ -101,35 +101,35 @@ POINTS: Dict[str, Tuple[RunKey, Optional[int]]] = {
 #: SHA-256 over the canonical JSON of each point's result and stats.
 GOLDEN = {
     "kmeans-mem-side-uba":
-        "e98966f375d139fb3575116e933fb25e22baa2cdded5935126db13557d8ec4c3",
+        "e6f0e97a5a8dfe6997a3dbb29598cb93aa8dc95d23d0ec5b89c8e33de5a7ed37",
     "kmeans-sm-side-uba":
-        "f0e4a605e556fc176e275db32644e4774313d5ad78a6f7def11f4893e10eb192",
+        "803ac33b76e71433484cde5003da77948d675f18ce5db10ee0daff869e0a92d4",
     "kmeans-nuba-norep":
-        "f6a6cace9c20d079afc8f61649fb0a064a84dc9405a21d4510830d72c101a556",
+        "5d58113f57ee991918ae0185dd051c0a9311ade2ed656bb0aba31ff89c8b1f94",
     "kmeans-nuba-mdr":
-        "e1cc27c69100d8d78251dac6a6f598e970353638d1657a645d8fa2139e8e04e7",
+        "7eb010293b48c683a040dfc77dc17746cc8a6c01fd5a783096e862e5d5613f3a",
     "kmeans-nuba-mcm2":
-        "d73606cee43a0b665d7ddb19a9c87f02aff1700b0745ca6bef8a443b68d05dba",
+        "b8359f96b1bf28ccb8bc78b2d07632313dff10eec5dbc8922b1c87dbc67c2cbf",
     "an-mem-side-uba-lab":
-        "4df0edd2eee894087400385526441221ddd3a640b4dc945581b4fbec9d9f4a39",
+        "cd1c74f56f2f22eab4bd1781107a19ada30823f7375a81a748837174afe01dfe",
     "pvc-nuba-norep":
-        "5ef3f4f1fc86c926a6476bea3f48bcbfa897f530aa39acf0fb215d0e4da2f1f6",
+        "6861edff3aee83ef64aae5c52e0ec4a2bb7977d951062e123726c8efbc868999",
     "kmeans-mem-side-uba-window1":
-        "4b73ab19af89176e5fef5cef9de44741d924abaf23ae29f556c60a86e8ba9415",
+        "782481c016b03f5910ffc3147b3b0591c12e45b37ec941e02c0f5f954c2b8c67",
     "an-nuba-mdr":
-        "e7f3aeebf44af760d38286f91a553a9aa6ec3eea39ccb678c00a8208a06e0268",
+        "71d882a216c093c114932ad4c17c3642d020e7afa658f67015b4c8dcecec2ef4",
     "bt-nuba-migration":
-        "b0d54cb7c94354f85b6d67f5bd5818234537e13d488a755e65eaabaf2a00e521",
+        "8f15f01193a641445777713d69583fe1f3113674c51e89aef39ffe52c891a788",
     "kmeans-nuba-page-replication":
-        "0e6bb1a70b97bfca5fb3bd15af62d1d106513d4728d4b311b65e7f2b846b19ac",
+        "972f59fb6045bf6881f9a696f6efebfec6a021a73f6a5aa8077ce3f482257030",
     "bp-nuba-mdr":
-        "a0a5ada1f93b0f438c12bbcf5d7bc6430a7cf6c31ce559311cd34757b11013f6",
+        "dac2d405f1a4963e5a9bac1f7937033305f44ea162612dce5b578755bfc8f4fe",
     "an-nuba-full-rep":
-        "103b8ecc401652f1497a886f14ccef136a086142b2ca6dbd53c0c1cf55b95444",
+        "14ec4fe8371335d2ec4240bad2d128d0fc464a76d200a6c299f122c608aa1eca",
     "kmeans-mem-side-uba-pae":
-        "cb869c1eea026071c5d7115e0d172bd5dcb4935083817b568b332795874642ae",
+        "6712003fe1c79f39c5b78b9e52ba33c38ee50fe4e741a4ed1973afbecca65dc5",
     "wc-nuba-norep":
-        "4202393c90b51204fb1543fc10c2489222ce5e81b2d4129d3d1cae22c24e347d",
+        "f7784a1870d630a56176b434b0064c49bf0346c811e9585a7aacbcc914187404",
 }
 
 

@@ -76,33 +76,40 @@ class TestTracker:
         request.is_local = local
         request.hit_level = hit
         request.issue_cycle = 0
-        request.complete_cycle = 100
         return request
 
     def test_local_remote_split(self):
         tracker = RequestTracker()
-        tracker.record(self._req(local=True))
-        tracker.record(self._req(local=False))
-        tracker.record(self._req(local=False))
+        tracker.record(self._req(local=True), 100)
+        tracker.record(self._req(local=False), 100)
+        tracker.record(self._req(local=False), 100)
         assert tracker.local_fraction == pytest.approx(1 / 3)
 
     def test_replies_per_cycle_counts_loads_only(self):
         tracker = RequestTracker()
-        tracker.record(self._req(AccessKind.LOAD))
-        tracker.record(self._req(AccessKind.STORE))
+        tracker.record(self._req(AccessKind.LOAD), 100)
+        tracker.record(self._req(AccessKind.STORE), 100)
         assert tracker.replies_per_cycle(100) == pytest.approx(0.01)
 
     def test_hit_level_accounting(self):
         tracker = RequestTracker()
-        tracker.record(self._req(hit="llc"))
-        tracker.record(self._req(hit="mem"))
+        tracker.record(self._req(hit="llc"), 100)
+        tracker.record(self._req(hit="mem"), 100)
         assert tracker.llc_hits == 1
         assert tracker.mem_accesses == 1
 
     def test_mean_latency(self):
+        """Latency runs from issue to the delivery cycle passed in; the
+        request is not complete yet when its reply is delivered."""
         tracker = RequestTracker()
-        tracker.record(self._req())
-        assert tracker.mean_latency == pytest.approx(100.0)
+        early = self._req()
+        late = self._req()
+        late.issue_cycle = 40
+        tracker.record(early, 100)
+        tracker.record(late, 90)
+        assert early.complete_cycle == late.complete_cycle == -1
+        assert tracker.total_latency == 150
+        assert tracker.mean_latency == pytest.approx(75.0)
 
     def test_empty_tracker_safe(self):
         tracker = RequestTracker()
@@ -113,7 +120,7 @@ class TestTracker:
 
     def test_as_dict_keys(self):
         tracker = RequestTracker()
-        tracker.record(self._req())
+        tracker.record(self._req(), 100)
         data = tracker.as_dict()
         assert data["completed"] == 1
         assert set(data) >= {"local", "remote", "llc_hits", "mean_latency"}

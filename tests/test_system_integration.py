@@ -69,6 +69,20 @@ class TestInvariants:
         tracker = result.tracker
         assert tracker["local"] + tracker["remote"] == tracker["completed"]
 
+    @pytest.mark.parametrize("arch", [Architecture.MEM_SIDE_UBA,
+                                      Architecture.NUBA])
+    def test_mean_load_latency_covers_the_llc(self, arch):
+        """Regression: the tracker read ``complete_cycle`` before the SM
+        had set it, so every real run reported a mean latency of 0.
+        Every recorded reply passed through an LLC slice, so the
+        issue-to-delivery mean is at least the slice latency."""
+        system, result = _run(arch)
+        mean = result.tracker["mean_latency"]
+        assert mean >= GPU.llc_slice.latency > 0
+        stats = system.stats_snapshot().as_dict()
+        assert stats["tracker.total_latency"] == pytest.approx(
+            mean * stats["tracker.completed"])
+
     def test_uba_never_local(self):
         _, result = _run(Architecture.MEM_SIDE_UBA)
         assert result.local_fraction == 0.0
