@@ -104,15 +104,6 @@ class AddressMap:
         least significant bank bit(s) select the slice within a channel."""
         return self.route_of_line(line_addr)[1]
 
-    def flush_routes(self) -> None:
-        """Drop the per-frame memos.
-
-        Routes are frame-pure and cannot go stale; this exists for the
-        invalidation tests.
-        """
-        self._route_cache.clear()
-        self._bank_cache.clear()
-
     # -- driver support ----------------------------------------------
 
     def frame_for_channel(self, channel: int, index: int) -> int:
