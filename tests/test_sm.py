@@ -1,5 +1,8 @@
 """SM tests: warps, GTO scheduling, CTAs, coalescing and the core."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.config.presets import small_config
@@ -12,6 +15,26 @@ from repro.sm.warp import Compute, MemAccess, Warp, make_stream
 
 def _warp(instructions, warp_id=0, cta_id=0):
     return Warp(warp_id, cta_id, make_stream(instructions))
+
+
+def _sm_core(gpu):
+    """A real SMCore over an identity-translation driver."""
+    from repro.cache.l1 import L1Cache
+    from repro.sm.core import SMCore
+    from repro.vm.tlb import MMU, L2TLB, TranslationProvider
+    from repro.vm.walker import WalkerPool
+
+    class Driver(TranslationProvider):
+        def lookup_translation(self, vpage, sm_id):
+            return vpage
+
+        def handle_fault(self, vpage, sm_id):
+            return vpage
+
+    l2 = L2TLB(gpu.tlb.l2_entries, gpu.tlb.l2_ways, gpu.tlb.l2_latency)
+    mmu = MMU(0, gpu.tlb, l2, WalkerPool(4, 10), Driver())
+    return SMCore(0, gpu, L1Cache(0, gpu.l1), mmu,
+                  request_sink=lambda r: True)
 
 
 class TestWarp:
@@ -106,6 +129,71 @@ class TestGTOScheduler:
         assert sched.pick(1) is None
 
 
+class TestInlinedGTOSelection:
+    """``SMCore._issue`` inlines ``GTOScheduler.pick``, and only tests
+    call ``pick``; this pins the copy the SM runs against it."""
+
+    @staticmethod
+    def _warps(states):
+        warps = []
+        for warp_id, (done, at_barrier, outstanding, ready_at) in \
+                enumerate(states):
+            warp = Warp(warp_id, 0, itertools.repeat(Compute(1)))
+            warp.done = done
+            warp.at_barrier = at_barrier
+            warp.outstanding = outstanding
+            warp.ready_at = ready_at
+            warps.append(warp)
+        return warps
+
+    @staticmethod
+    def _index(warps, warp):
+        return next((i for i, w in enumerate(warps) if w is warp), None)
+
+    def test_issue_selects_like_pick(self):
+        """Seeded random warp states (done, at a barrier, loads
+        outstanding, ``ready_at``) and a random greedy warp: the warp
+        each SM scheduler issues from, its ``_greedy``, ``issues`` and
+        ``idle_cycles``, and the SM's stall cycles all match ``pick``
+        on an identical reference scheduler."""
+        rng = random.Random(15)
+        sm = _sm_core(small_config(num_channels=2))
+        refs = [GTOScheduler(i) for i in range(len(sm.schedulers))]
+        paths = {"greedy": 0, "oldest": 0, "idle": 0}
+        for step in range(4000):
+            now = rng.randrange(50)
+            expected = []
+            for ref, sched in zip(refs, sm.schedulers):
+                states = [(rng.random() < 0.2, rng.random() < 0.2,
+                           rng.choice((0, 0, 0, 1, 2)), rng.randrange(60))
+                          for _ in range(rng.randrange(6))]
+                greedy = rng.randrange(-1, len(states))
+                for target in (ref, sched):
+                    target._warps = self._warps(states)
+                    target._greedy = (target._warps[greedy]
+                                      if greedy >= 0 else None)
+                before = ref._greedy
+                picked = ref.pick(now)
+                if picked is None:
+                    paths["idle"] += 1
+                else:
+                    paths["greedy" if picked is before else "oldest"] += 1
+                expected.append(self._index(ref._warps, picked))
+            stalls = sm.stall_cycles
+            sm._issue(now)
+            for ref, sched, want in zip(refs, sm.schedulers, expected):
+                issued = [i for i, w in enumerate(sched._warps)
+                          if w.instructions_issued]
+                assert issued == ([] if want is None else [want]), step
+                assert (self._index(sched._warps, sched._greedy)
+                        == self._index(ref._warps, ref._greedy)), step
+                assert (sched.issues, sched.idle_cycles) == \
+                    (ref.issues, ref.idle_cycles), step
+            all_idle = all(want is None for want in expected)
+            assert sm.stall_cycles - stalls == all_idle, step
+        assert min(paths.values()) > 500, paths
+
+
 class TestDistributedCTAScheduler:
     def _factory(self, cta_id, warp_id):
         return make_stream([Compute(1)])
@@ -171,29 +259,9 @@ class TestCoalescer:
 class TestBarriers:
     def _sm_with_two_warps(self):
         """A real SMCore with one CTA of two warps executing barriers."""
-        from repro.cache.l1 import L1Cache
-        from repro.config.presets import small_config
-        from repro.sm.core import SMCore
-        from repro.sm.cta import DistributedCTAScheduler
         from repro.sm.warp import Barrier
-        from repro.vm.tlb import MMU, L2TLB, TranslationProvider
-        from repro.vm.walker import WalkerPool
 
-        gpu = small_config(num_channels=2, warps_per_sm=4)
-
-        class Driver(TranslationProvider):
-            def lookup_translation(self, vpage, sm_id):
-                return vpage
-
-            def handle_fault(self, vpage, sm_id):
-                return vpage
-
-        driver = Driver()
-        l2 = L2TLB(gpu.tlb.l2_entries, gpu.tlb.l2_ways, gpu.tlb.l2_latency)
-        walkers = WalkerPool(4, 10)
-        l1 = L1Cache(0, gpu.l1)
-        mmu = MMU(0, gpu.tlb, l2, walkers, driver)
-        sm = SMCore(0, gpu, l1, mmu, request_sink=lambda r: True)
+        sm = _sm_core(small_config(num_channels=2, warps_per_sm=4))
 
         def body(cta, warp):
             yield Compute(1)
