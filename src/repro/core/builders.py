@@ -18,12 +18,7 @@ from repro.core.system import GPUSystem
 from repro.noc.crossbar import Crossbar
 from repro.noc.p2p import PartitionLinks
 from repro.noc.power import CrossbarPowerModel
-from repro.sim.request import (
-    _KIND_REPLY_BYTES,
-    _KIND_REQUEST_BYTES,
-    AccessKind,
-    MemoryRequest,
-)
+from repro.sim.request import AccessKind, MemoryRequest
 
 
 class MemSideUBASystem(GPUSystem):
@@ -83,7 +78,7 @@ class MemSideUBASystem(GPUSystem):
             request.is_reply = True
             return self.noc.inject(
                 port, self._sm_port(request.sm_id), request,
-                _KIND_REPLY_BYTES[request.kind],
+                request.kind.reply_bytes,
             )
 
         return sink
@@ -103,7 +98,7 @@ class MemSideUBASystem(GPUSystem):
             self._sm_port(request.sm_id),
             self._slice_port(request.home_slice),
             request,
-            _KIND_REQUEST_BYTES[request.kind],
+            request.kind.request_bytes,
         )
 
     def _interconnect_pending(self) -> int:
@@ -225,7 +220,7 @@ class SMSideUBASystem(GPUSystem):
         def sink(request: MemoryRequest) -> bool:
             request.is_reply = True
             local_sm = request.sm_id % self.sms_per_side
-            return xbar.inject(port, local_sm, request, _KIND_REPLY_BYTES[request.kind])
+            return xbar.inject(port, local_sm, request, request.kind.reply_bytes)
 
         return sink
 
@@ -236,7 +231,7 @@ class SMSideUBASystem(GPUSystem):
                 slice_id,
                 self.gpu.num_llc_slices + request.home_channel,
                 request,
-                _KIND_REQUEST_BYTES[request.kind],
+                request.kind.request_bytes,
             )
 
         return sink
@@ -278,7 +273,7 @@ class SMSideUBASystem(GPUSystem):
             self.gpu.num_llc_slices + request.home_channel,
             request.owner_slice,
             request,
-            _KIND_REPLY_BYTES[request.kind],
+            request.kind.reply_bytes,
         )
 
     # -- routing -------------------------------------------------------
@@ -294,7 +289,7 @@ class SMSideUBASystem(GPUSystem):
             request.sm_id % self.sms_per_side,
             self.sms_per_side + dest_slice % self.slices_per_side,
             request,
-            _KIND_REQUEST_BYTES[request.kind],
+            request.kind.request_bytes,
         )
 
     def _invalidate_other_sides(self, line_addr: int, origin_side: int) -> None:
@@ -417,7 +412,7 @@ class NUBASystem(GPUSystem):
             src_port = self._partition_port(partition, request.home_slice)
             return self.noc.inject(
                 src_port, self._slice_port(request.home_slice),
-                request, _KIND_REQUEST_BYTES[request.kind],
+                request, request.kind.request_bytes,
             )
 
         return sink
@@ -446,7 +441,7 @@ class NUBASystem(GPUSystem):
             )
             return self.noc.inject(
                 self._slice_port(slice_id), dest, request,
-                _KIND_REPLY_BYTES[request.kind],
+                request.kind.reply_bytes,
             )
 
         return sink
@@ -467,7 +462,7 @@ class NUBASystem(GPUSystem):
             return self.noc.inject(
                 self._slice_port(slice_id),
                 self._slice_port(request.home_slice),
-                request, _KIND_REQUEST_BYTES[request.kind],
+                request, request.kind.request_bytes,
             )
 
         return sink
