@@ -112,6 +112,7 @@ class TestWakeChecker:
 
                 def tick(self, now):
                     self._queue.append(now)
+                    return False
 
                 def _refill(self, item):
                     self._queue.append(item)
@@ -132,6 +133,117 @@ class TestWakeChecker:
         """
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
         assert _rules(result) == []
+
+
+# ---------------------------------------------------------------------------
+# Sleep-verdict check (W004) fixtures
+# ---------------------------------------------------------------------------
+
+VERDICT_OK = """
+    from repro.sim.engine import Component
+
+    class Thing(Component):
+        def __init__(self):
+            super().__init__("t")
+            self.work = []
+
+        def tick(self, now):
+            def helper():
+                return
+            if not self.work:
+                return True
+            try:
+                self.work.pop()
+            finally:
+                helper()
+            if self.work:
+                return False
+            else:
+                return not self.work
+"""
+
+
+def _w004(source):
+    result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
+    return [f for f in result.new if f.rule == "W004"]
+
+
+class TestVerdictChecker:
+    def test_verdict_on_every_path_is_clean(self):
+        # The nested helper's bare return is not tick's.
+        assert _w004(VERDICT_OK) == []
+
+    def test_bare_return_is_w004(self):
+        findings = _w004(VERDICT_OK.replace("return True", "return"))
+        assert [f.line for f in findings] == [13]
+
+    def test_return_none_is_w004(self):
+        assert len(_w004(VERDICT_OK.replace("return True",
+                                            "return None"))) == 1
+
+    def test_falling_off_the_end_is_w004(self):
+        source = VERDICT_OK.replace(
+            "            else:\n                return not self.work\n", "")
+        findings = _w004(source)
+        assert len(findings) == 1
+        assert "fall off its end" in findings[0].message
+
+    def test_tick_without_any_return_is_w004(self):
+        source = """
+            from repro.sim.engine import Component
+
+            class Thing(Component):
+                def tick(self, now):
+                    for _ in range(3):
+                        return False
+        """
+        assert len(_w004(source)) == 1
+
+    def test_terminal_statement_shapes(self):
+        source = """
+            from repro.sim.engine import Component
+
+            class Loop(Component):
+                def tick(self, now):
+                    while True:
+                        for _ in range(2):
+                            break
+                        return False
+
+            class Guarded(Component):
+                def tick(self, now):
+                    with open("x") as handle:
+                        try:
+                            return bool(handle)
+                        except OSError:
+                            raise
+
+            class Leaky(Component):
+                def tick(self, now):
+                    while True:
+                        if now:
+                            break
+                        return False
+        """
+        findings = _w004(source)
+        assert [f.message.split(".")[0] for f in findings] == ["Leaky"]
+
+    def test_non_tick_methods_and_plain_classes_exempt(self):
+        source = """
+            from repro.sim.engine import Component
+
+            class Thing(Component):
+                def tick(self, now):
+                    return False
+
+                def on_skipped(self, cycles):
+                    return
+
+            class Plain:
+                def tick(self, now):
+                    return
+        """
+        assert _w004(source) == []
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +591,38 @@ class TestRealTree:
                 sites += 1
         assert sites >= 13  # today: 13 hand-paired wake sites
 
+    def test_dropping_any_tick_verdict_fails_lint(self):
+        """Blanking the value of any ``return`` in a real component's
+        ``tick`` (the AST mutated, then unparsed) is a W004 finding."""
+        import ast
+
+        sites = 0
+        for path in sorted(SRC.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if "(Component)" not in source:
+                continue
+            rel = path.relative_to(REPO).as_posix()
+            tree = ast.parse(source)
+            ticks = [node for cls in tree.body
+                     if isinstance(cls, ast.ClassDef)
+                     and any(getattr(base, "id", "") == "Component"
+                             for base in cls.bases)
+                     for node in cls.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "tick"]
+            for tick in ticks:
+                for ret in [n for n in ast.walk(tick)
+                            if isinstance(n, ast.Return)]:
+                    value, ret.value = ret.value, None
+                    mutated = ast.unparse(tree)
+                    ret.value = value
+                    result = lint_sources({rel: mutated},
+                                          checkers=[WakeSiteChecker()])
+                    assert any(f.rule == "W004" for f in result.new), (
+                        rel, ret.lineno)
+                    sites += 1
+        assert sites >= 9  # today: nine verdicts across six ticks
+
     def test_deleting_any_enabled_guard_fails_lint(self):
         sites = 0
         for path in sorted(SRC.rglob("*.py")):
@@ -537,7 +681,7 @@ class TestLintCLI:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("W001", "W002", "T001",
+        for rule in ("W001", "W002", "W004", "T001",
                      "D001", "D004", "H001", "H002", "B001"):
             assert rule in out
         assert "F001" not in out and "F002" not in out
